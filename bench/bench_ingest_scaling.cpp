@@ -134,9 +134,11 @@ double run_replay(const geo::zone_grid& grid,
   producers.reserve(threads);
   for (std::size_t p = 0; p < threads; ++p) {
     producers.emplace_back([&, p] {
+      proto::reply_buffer out;
       for (std::size_t i = p; i < lines.size(); i += threads) {
         std::this_thread::sleep_for(std::chrono::microseconds(wire_us));
-        server.handle(lines[i]);
+        out.clear();
+        server.handle(proto::request_view::text(lines[i]), out);
       }
     });
   }
@@ -178,9 +180,11 @@ double run_replay_batched(const geo::zone_grid& grid,
   producers.reserve(threads);
   for (std::size_t p = 0; p < threads; ++p) {
     producers.emplace_back([&, p] {
+      proto::reply_buffer out;
       for (std::size_t i = p; i < frames.size(); i += threads) {
         std::this_thread::sleep_for(std::chrono::microseconds(wire_us));
-        server.handle(frames[i]);
+        out.clear();
+        server.handle(proto::request_view::text(frames[i]), out);
       }
     });
   }

@@ -39,8 +39,8 @@
 // in-process single QUERY) is re-measured and printed for comparison. On a
 // host with enough cores for the event loops, batched QUERYB across
 // several connections reaches past that baseline toward 5x via loop
-// parallelism (SO_REUSEPORT spreads sessions across loops, sharded
-// concurrent mode takes the dispatches).
+// parallelism (SO_REUSEPORT spreads sessions across loops, the sharded
+// coordinator takes the dispatches).
 //
 // Machine-readable results go to bench_net_server.jsonl in the working
 // directory (one JSON object per line; schema in EXPERIMENTS.md).
@@ -75,6 +75,15 @@
 using namespace wiscape;
 
 namespace {
+
+/// Serves one request in-process through a reused reply buffer (the shape
+/// a TCP session runs per request) and returns the reply's size.
+std::size_t serve(proto::coordinator_server& server, std::string_view req) {
+  thread_local proto::reply_buffer out;
+  out.clear();
+  server.handle(proto::request_view::detect(req), out);
+  return out.size();
+}
 
 double now_s() {
   return std::chrono::duration<double>(
@@ -352,7 +361,7 @@ int main(int argc, char** argv) {
     std::vector<double> ratios;
     for (int r = 0; r < kReps; ++r) {
       double t0 = now_s();
-      for (const auto& f : report_frames) sink += server.handle(f).size();
+      for (const auto& f : report_frames) sink += serve(server, f);
       const double inproc =
           static_cast<double>(stream.size()) / (now_s() - t0);
       inproc_ingest = std::max(inproc_ingest, inproc);
@@ -500,7 +509,7 @@ int main(int argc, char** argv) {
     // expensive instruction in this loop.
     std::size_t line = 0;
     for (std::size_t i = 0; i < inproc_ops; ++i) {
-      sink += server.handle(single_lines[line]).size();
+      sink += serve(server, single_lines[line]);
       if (++line == single_lines.size()) line = 0;
     }
     inproc_query = std::max(
@@ -587,7 +596,7 @@ int main(int argc, char** argv) {
       double t0 = now_s();
       std::size_t items = 0;
       while (items < inproc_ops) {
-        for (const auto& f : query_frames) sink += server.handle(f).size();
+        for (const auto& f : query_frames) sink += serve(server, f);
         items += queries.size();
       }
       const double inproc = static_cast<double>(items) / (now_s() - t0);

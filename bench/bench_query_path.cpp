@@ -170,43 +170,27 @@ int main(int argc, char** argv) {
               view_qps);
 
   // ---- read-only: the wire round trip -------------------------------------
+  // Decode + lookup + encode through handle() with a reused reply_buffer --
+  // the shape net::session runs per request.
   proto::coordinator_server server(warm);
   const std::size_t wire_ops = reports / 2;
   double wire_qps = 0.0;
-  for (int r = 0; r < kReps; ++r) {
-    const double t0 = now_s();
-    for (std::size_t i = 0; i < wire_ops; ++i) {
-      sink += static_cast<double>(
-          server.handle(wire_lines[i % wire_lines.size()]).size());
-    }
-    wire_qps = std::max(wire_qps,
-                        static_cast<double>(wire_ops) / (now_s() - t0));
-  }
-  std::printf("  read-only, wire QUERY round trip:  %11.0f queries/s\n",
-              wire_qps);
-
-  // ---- read-only: the zero-allocation wire round trip ---------------------
-  // Same decode + lookup + encode, but through handle_into() with a reused
-  // reply_buffer -- the shape net::session runs per request (ISSUE 8).
-  // The delta against handle() above is the price of one std::string
-  // construction per reply.
-  double wire_into_qps = 0.0;
   {
     proto::reply_buffer out;
     for (int r = 0; r < kReps; ++r) {
       const double t0 = now_s();
       for (std::size_t i = 0; i < wire_ops; ++i) {
         out.clear();
-        server.handle_into(wire_lines[i % wire_lines.size()], out);
+        server.handle(
+            proto::request_view::text(wire_lines[i % wire_lines.size()]), out);
         sink += static_cast<double>(out.view().size());
       }
-      wire_into_qps = std::max(wire_into_qps,
-                               static_cast<double>(wire_ops) / (now_s() - t0));
+      wire_qps = std::max(wire_qps,
+                          static_cast<double>(wire_ops) / (now_s() - t0));
     }
   }
-  std::printf("  read-only, wire QUERY handle_into: %11.0f queries/s  "
-              "(%.2fx handle)\n\n",
-              wire_into_qps, wire_into_qps / wire_qps);
+  std::printf("  read-only, wire QUERY round trip:  %11.0f queries/s\n\n",
+              wire_qps);
 
   // ---- write-only vs mixed 90/10 ------------------------------------------
   // One producer streams the corpus into a fresh pipeline; the mixed leg
@@ -323,7 +307,6 @@ int main(int argc, char** argv) {
   std::ofstream jsonl("bench_query_path.jsonl");
   jsonl_result(jsonl, "read_view", view_ops, view_qps);
   jsonl_result(jsonl, "read_wire", wire_ops, wire_qps);
-  jsonl_result(jsonl, "read_wire_into", wire_ops, wire_into_qps);
   jsonl_result(jsonl, "write_only", stream.size(), write_rps);
   jsonl_result(jsonl, "mixed_write", stream.size(), mixed_rps);
   jsonl_result(jsonl, "mixed_read",

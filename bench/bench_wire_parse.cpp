@@ -289,11 +289,19 @@ int main(int argc, char** argv) {
       });
   const double wire_single_rps =
       e2e([&](core::sharded_coordinator&, proto::coordinator_server& server) {
-        for (const auto& line : lines) server.handle(line);
+        proto::reply_buffer out;
+        for (const auto& line : lines) {
+          out.clear();
+          server.handle(proto::request_view::text(line), out);
+        }
       });
   const double wire_batch_rps =
       e2e([&](core::sharded_coordinator&, proto::coordinator_server& server) {
-        for (const auto& frame : frames) server.handle(frame);
+        proto::reply_buffer out;
+        for (const auto& frame : frames) {
+          out.clear();
+          server.handle(proto::request_view::text(frame), out);
+        }
       });
 
   std::printf("  end-to-end into the 4-shard pipeline (1 producer thread):\n");

@@ -14,7 +14,7 @@
 
 #include "cellnet/presets.h"
 #include "core/anomaly.h"
-#include "core/coordinator.h"
+#include "core/sharded_coordinator.h"
 #include "core/estimate_view.h"
 #include "probe/engine.h"
 #include "stats/summary.h"
@@ -46,7 +46,11 @@ int main(int argc, char** argv) {
   // Roll epochs on time, not sample count, matching the 30 min cadence the
   // surge detector below compares against.
   ccfg.default_samples_per_epoch = 100000;
-  core::coordinator coordinator(grid, dep.names(), ccfg, seed);
+  core::sharded_config scfg;  // one shard, applied inline
+  scfg.coordinator = ccfg;
+  scfg.num_shards = 1;
+  scfg.synchronous = true;
+  core::sharded_coordinator coordinator(grid, dep.names(), scfg, seed);
   const core::estimate_view watch(coordinator);
   const geo::zone_id stadium_zone = grid.zone_of(cellnet::anchors::camp_randall);
   double last_t = 0.0;

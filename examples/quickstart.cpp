@@ -12,7 +12,7 @@
 
 #include "cellnet/presets.h"
 #include "core/client_agent.h"
-#include "core/coordinator.h"
+#include "core/sharded_coordinator.h"
 #include "core/estimate_view.h"
 #include "mobility/fleet.h"
 #include "mobility/route_gen.h"
@@ -38,7 +38,12 @@ int main(int argc, char** argv) {
   core::coordinator_config cfg;
   cfg.default_samples_per_epoch = 20;  // small, for a quick demo
   cfg.epochs.default_epoch_s = 1800.0;
-  core::coordinator coordinator(grid, dep.names(), cfg, seed);
+  // One shard, applied inline: the deterministic sequential coordinator.
+  core::sharded_config scfg;
+  scfg.coordinator = cfg;
+  scfg.num_shards = 1;
+  scfg.synchronous = true;
+  core::sharded_coordinator coordinator(grid, dep.names(), scfg, seed);
 
   // 4. A bus with one client agent per operator interface.
   auto routes = mobility::make_city_routes(dep.proj(), 9000.0, 9000.0, 4,

@@ -38,6 +38,15 @@
 
 using namespace wiscape;
 
+namespace {
+/// The in-process "wire": serves one request line, returns the reply.
+std::string serve(proto::coordinator_server& server, const std::string& line) {
+  proto::reply_buffer rb;
+  server.handle(proto::request_view::text(line), rb);
+  return std::string(rb.view());
+}
+}  // namespace
+
 int main(int argc, char** argv) {
   const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 11;
 
@@ -58,7 +67,12 @@ int main(int argc, char** argv) {
   cfg.default_samples_per_epoch = 12;
   cfg.epochs.default_epoch_s = 600.0;
   cfg.client_daily_budget_mb = 6.0;  // each device donates at most 6 MB/day
-  core::coordinator coordinator(grid, dep.names(), cfg, seed);
+  // One shard, applied inline: the deterministic sequential coordinator.
+  core::sharded_config seq_cfg;
+  seq_cfg.coordinator = cfg;
+  seq_cfg.num_shards = 1;
+  seq_cfg.synchronous = true;
+  core::sharded_coordinator coordinator(grid, dep.names(), seq_cfg, seed);
   proto::coordinator_server server(coordinator);
 
   // Transport: in this demo the "wire" is a function call, with a tap that
@@ -67,7 +81,7 @@ int main(int argc, char** argv) {
   int shown = 0;
   std::vector<std::string> report_lines;
   auto transport = [&](const std::string& line) {
-    std::string reply = server.handle(line);
+    std::string reply = serve(server, line);
     if (proto::message_type(line) == "REPORT") report_lines.push_back(line);
     if (shown < 6 && proto::message_type(reply) == "TASK") {
       ++shown;
@@ -160,14 +174,14 @@ int main(int argc, char** argv) {
   scfg.num_shards = 4;
   core::sharded_coordinator sharded(grid, dep.names(), scfg, seed);
   proto::coordinator_server concurrent_server(sharded);
-  for (const auto& line : report_lines) concurrent_server.handle(line);
+  for (const auto& line : report_lines) serve(concurrent_server, line);
   sharded.flush();
 
   // Same QUERYB sweep against the concurrent server: these lookups read the
   // shards' lock-free estimate mirrors, so they would not stall ingestion
   // even if the morning were still streaming in.
   proto::remote_query_client sharded_query(
-      [&](const std::string& line) { return concurrent_server.handle(line); });
+      [&](const std::string& line) { return serve(concurrent_server, line); });
   const int sharded_published = count_published(sharded_query);
   std::printf("\nconcurrent replay (%zu shards):\n", sharded.num_shards());
   std::printf(
@@ -191,7 +205,7 @@ int main(int argc, char** argv) {
   // a bare "STATS" line; here we show the ingest-path excerpt of the dump.
   std::printf("\nwire> STATS   (excerpt; full dump in "
               "bench_out/remote_coordinator_obs.jsonl)\n");
-  std::istringstream stats_reply(concurrent_server.handle("STATS"));
+  std::istringstream stats_reply(serve(concurrent_server, "STATS"));
   std::string stats_line;
   while (std::getline(stats_reply, stats_line)) {
     if (stats_line.rfind("core.coordinator.", 0) == 0 ||

@@ -4,8 +4,8 @@ namespace wiscape::core {
 
 std::optional<trace::measurement_record> client_agent::step(
     const mobility::gps_fix& fix, std::size_t active_clients_in_zone) {
-  const auto task = coord_->checkin(fix.pos, fix.time_s, network_index_,
-                                    active_clients_in_zone, client_id_);
+  const auto task = coordinator_->checkin(fix.pos, fix.time_s, network_index_,
+                                          active_clients_in_zone, client_id_);
   if (!task) return std::nullopt;
 
   trace::measurement_record rec;
@@ -24,7 +24,7 @@ std::optional<trace::measurement_record> client_agent::step(
       break;
   }
   ++executed_;
-  coord_->report(rec);
+  coordinator_->report(rec);
   return rec;
 }
 

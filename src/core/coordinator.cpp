@@ -214,11 +214,6 @@ void coordinator::report(const trace::measurement_record& rec) {
   }
 }
 
-void coordinator::report_batch(
-    std::span<const trace::measurement_record> recs) {
-  for (const auto& rec : recs) report(rec);
-}
-
 void coordinator::recompute_epochs() {
   for (auto& [zone, st] : zones_) {
     // Use the longest per-network history in this zone. Ties go to the

@@ -11,7 +11,10 @@
 // deterministic sequential state machine (same seed + same call sequence =>
 // bit-for-bit the same estimates, tasks and alerts). Callers serialise
 // access; `sharded_coordinator` is the concurrent wrapper that does so at
-// scale, one coordinator per shard behind the shard's mutex.
+// scale, one coordinator per shard behind the shard's mutex. The wire
+// server, core::estimate_view and persistence serve only the sharded
+// wrapper; a 1-shard synchronous sharded_coordinator reproduces this state
+// machine draw for draw, so that is how a sequential coordinator is served.
 //
 // Observability: checkin() and report() count into the process-wide
 // `core.coordinator.*` metrics (src/obs/names.h; reference table in
@@ -22,11 +25,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <unordered_map>
 
 #include "core/alert_ring.h"
-#include "core/durable_state.h"
 #include "core/epoch_estimator.h"
 #include "core/estimate_mirror.h"
 #include "core/sample_planner.h"
@@ -76,7 +77,7 @@ struct zone_status {
   std::size_t open_epoch_samples = 0;
 };
 
-class coordinator : public durable_state {
+class coordinator {
  public:
   coordinator(geo::zone_grid grid, std::vector<std::string> networks,
               coordinator_config cfg, std::uint64_t seed);
@@ -112,10 +113,10 @@ class coordinator : public durable_state {
   }
 
   /// All estimate-stream keys seen so far (stream-creation order).
-  std::vector<estimate_key> keys() const override { return table_.keys(); }
+  std::vector<estimate_key> keys() const { return table_.keys(); }
 
   /// Full frozen history of one stream, oldest first (copied).
-  std::vector<epoch_estimate> history(const estimate_key& key) const override {
+  std::vector<epoch_estimate> history(const estimate_key& key) const {
     return table_.history(key);
   }
 
@@ -142,11 +143,6 @@ class coordinator : public durable_state {
   /// `core.coordinator.reports_rejected` and dropped.
   void report(const trace::measurement_record& rec);
 
-  /// Ingests a batch of completed measurements in order. Equivalent to
-  /// calling report() per record; exists so the batched wire path (REPORTB)
-  /// has one entry point in sequential mode too.
-  void report_batch(std::span<const trace::measurement_record> recs);
-
   /// Re-estimates the epoch duration of every zone with enough history
   /// (Allan minimum). Cheap enough to call periodically.
   void recompute_epochs();
@@ -168,31 +164,22 @@ class coordinator : public durable_state {
     return table_.interner().try_id(network);
   }
 
-  // ---- persistence surface (core::durable_state) --------------------------
+  // ---- restore surface (sharded_coordinator's durable_state) -------------
   // Restore replays saved state, it does not observe new measurements: no
   // alerts are raised, no reports_accepted counters move.
 
   /// Appends a frozen estimate to a stream's history (publishing it to the
   /// serving mirror so reads resume immediately).
-  void restore_estimate(const estimate_key& key,
-                        const epoch_estimate& e) override {
+  void restore_estimate(const estimate_key& key, const epoch_estimate& e) {
     table_.restore(key, e);
   }
   /// Restores a stream's open-epoch accumulator (see zone_table).
-  void restore_open(const estimate_key& key,
-                    const open_epoch_state& st) override {
+  void restore_open(const estimate_key& key, const open_epoch_state& st) {
     table_.restore_open(key, st);
   }
   /// Open-epoch accumulator of a stream (nullopt when absent or empty).
-  std::optional<open_epoch_state> open_state(
-      const estimate_key& key) const override {
+  std::optional<open_epoch_state> open_state(const estimate_key& key) const {
     return table_.open_state(key);
-  }
-  /// High-water alert sequence number of the current alert sink.
-  std::uint64_t alert_seq() const override { return alert_sink_->pushed(); }
-  /// Resumes alert numbering after a restart (untouched ring only).
-  void resume_alert_seq(std::uint64_t last_seq) override {
-    alert_sink_->resume_from(last_seq);
   }
 
   // ---- replication surface (src/repl, ISSUE 10) ---------------------------

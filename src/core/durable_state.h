@@ -1,13 +1,10 @@
-// The narrow persistence surface of a coordinator (ISSUE 10).
+// The narrow persistence surface of a coordinator.
 //
-// core::persist used to reach into coordinator internals (the raw zone
-// table via table_for_test(), plus a per-flavour overload set of free
-// functions). durable_state is the replacement boundary: everything a
-// snapshot writer, WAL replayer or replication catch-up needs to read or
-// rebuild coordinator estimate state, and nothing else. Both the
-// sequential core::coordinator and the sharded core::sharded_coordinator
-// implement it, so standalone and replicated modes persist through the
-// same four verbs:
+// durable_state is everything a snapshot writer (core::persist), WAL
+// replayer (core::durable_log) or replication catch-up (src/repl) needs to
+// read or rebuild coordinator estimate state, and nothing else.
+// core::sharded_coordinator implements it -- the one coordinator type the
+// serving stack persists -- through four verbs:
 //
 //   * enumerate      -- keys() / history() / open_state()
 //   * replay frozen  -- restore_estimate() (appends + republishes, no alert)
@@ -20,9 +17,8 @@
 // is ingested (alert_ring::resume_from refuses otherwise).
 //
 // Thread safety follows the implementing class: sharded_coordinator takes
-// each shard's lock per call; the sequential coordinator is single-threaded
-// by contract. Callers wanting a consistent snapshot quiesce producers (or
-// flush()) first, as before.
+// each shard's lock per call. Callers wanting a consistent snapshot
+// quiesce producers (or flush()) first.
 #pragma once
 
 #include <cstdint>

@@ -34,8 +34,7 @@ std::optional<served_estimate> estimate_view::lookup(const geo::zone_id& zone,
   metrics().lookups.inc();
   const std::uint64_t skey = zone_table::pack_stream(zone, network_id, metric);
   const estimate_mirror& mirror =
-      seq_ != nullptr ? seq_->published()
-                      : sharded_->published_of(sharded_->shard_of(zone));
+      coordinator_->published_of(coordinator_->shard_of(zone));
   published_estimate p;
   if (!mirror.read(skey, p)) {
     metrics().misses.inc();
@@ -70,9 +69,7 @@ std::optional<served_estimate> estimate_view::lookup(const geo::zone_id& zone,
 
 alert_drain estimate_view::alerts_since(std::uint64_t since,
                                         std::size_t max) const {
-  const alert_ring& ring =
-      seq_ != nullptr ? seq_->alert_sink() : sharded_->alert_sink();
-  alert_drain out = ring.drain_since(since, max);
+  alert_drain out = coordinator_->alert_sink().drain_since(since, max);
   if (!out.alerts.empty()) metrics().alerts_served.inc(out.alerts.size());
   if (out.dropped != 0) metrics().alerts_dropped.inc(out.dropped);
   return out;

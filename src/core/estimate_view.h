@@ -16,13 +16,12 @@
 // alerts_since() incrementally drains the coordinator's >2-sigma change
 // alerts by sequence-number cursor.
 //
-// Concurrency: over a sharded_coordinator, lookups read the owning shard's
-// seqlock'd estimate mirror -- no shard lock, no stalls to drain workers,
-// safe from any thread, and the returned triple is never torn (it is
-// bit-for-bit an estimate the shard's sequential state machine published).
-// Over a plain coordinator the same mirror path runs single-threaded.
-// keys() is the one cold exception: it enumerates under shard locks and is
-// meant for tools, not the query hot path.
+// Concurrency: lookups read the owning shard's seqlock'd estimate mirror --
+// no shard lock, no stalls to drain workers, safe from any thread, and the
+// returned triple is never torn (it is bit-for-bit an estimate the shard's
+// sequential state machine published). keys() is the one cold exception:
+// it enumerates under shard locks and is meant for tools, not the query
+// hot path.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +30,6 @@
 #include <vector>
 
 #include "core/alert_ring.h"
-#include "core/coordinator.h"
 #include "core/sharded_coordinator.h"
 
 namespace wiscape::core {
@@ -56,15 +54,11 @@ struct served_estimate {
 
 class estimate_view {
  public:
-  /// Serves a sequential coordinator (borrowed; must outlive the view).
-  explicit estimate_view(const coordinator& coord, view_config cfg = {})
-      : seq_(&coord), cfg_(cfg) {}
-
-  /// Serves a sharded coordinator (borrowed; must outlive the view).
+  /// Serves a coordinator (borrowed; must outlive the view).
   /// lookup()/alerts_since() are safe from any thread while ingestion runs.
   explicit estimate_view(const sharded_coordinator& coord,
                          view_config cfg = {})
-      : sharded_(&coord), cfg_(cfg) {}
+      : coordinator_(&coord), cfg_(cfg) {}
 
   /// Latest published estimate of a stream, or nullopt before its first
   /// epoch rollover. `now_s` (the caller's clock) prices staleness_s;
@@ -74,9 +68,9 @@ class estimate_view {
                                         trace::metric metric,
                                         double now_s = -1.0) const;
 
-  /// Name-keyed flavour. Over a sharded coordinator only operators from the
-  /// constructor's network list resolve (the frozen wire interner) -- the
-  /// same restriction the wire boundary has.
+  /// Name-keyed flavour. Only operators from the coordinator's network list
+  /// resolve (the frozen wire interner) -- the same restriction the wire
+  /// boundary has.
   std::optional<served_estimate> lookup(const geo::zone_id& zone,
                                         std::string_view network,
                                         trace::metric metric,
@@ -90,21 +84,17 @@ class estimate_view {
   /// Interned id of `network` (trace::no_network_id when unknown). Matches
   /// the id space lookup() expects.
   std::uint16_t network_id_of(std::string_view network) const noexcept {
-    return seq_ != nullptr ? seq_->network_id_of(network)
-                           : sharded_->network_id_of(network);
+    return coordinator_->network_id_of(network);
   }
 
-  /// All streams ever materialised. COLD: takes each shard's lock in
-  /// sharded mode; for tools and enumeration, never the query hot path.
-  std::vector<estimate_key> keys() const {
-    return seq_ != nullptr ? seq_->keys() : sharded_->keys();
-  }
+  /// All streams ever materialised. COLD: takes each shard's lock; for
+  /// tools and enumeration, never the query hot path.
+  std::vector<estimate_key> keys() const { return coordinator_->keys(); }
 
   const view_config& config() const noexcept { return cfg_; }
 
  private:
-  const coordinator* seq_ = nullptr;
-  const sharded_coordinator* sharded_ = nullptr;
+  const sharded_coordinator* coordinator_;
   view_config cfg_;
 };
 

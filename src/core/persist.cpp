@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "core/fault_injection.h"
-#include "core/sharded_coordinator.h"
 
 namespace wiscape::core {
 
@@ -57,8 +55,8 @@ void write_open(std::ostream& os, const estimate_key& key,
   os << buf;
 }
 
-/// Parses the shared EST/OPEN body shared by both formats. Returns false if
-/// the line is neither (caller decides whether that's fatal).
+/// Parses an EST or OPEN body line. Returns false if the line is neither
+/// (the caller decides whether that's fatal).
 template <typename RestoreEst, typename RestoreOpen>
 bool parse_body_line(const std::string& line, RestoreEst&& restore_est,
                      RestoreOpen&& restore_open) {
@@ -93,57 +91,6 @@ bool parse_body_line(const std::string& line, RestoreEst&& restore_est,
 }
 
 }  // namespace
-
-void save_zone_table(std::ostream& os, const zone_table& table) {
-  os << "WISCAPE-ZONETABLE v2\n";
-  auto keys = table.keys();
-  sort_keys(keys);
-  for (const auto& key : keys) {
-    // Non-copying view: the table is not mutated while we stream it out.
-    for (const auto& est : table.history_view(key)) {
-      write_est(os, key, est);
-    }
-    if (const auto open = table.open_state(key)) {
-      write_open(os, key, *open);
-    }
-  }
-}
-
-void save_zone_table_file(const std::string& path, const zone_table& table) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("cannot open for writing: " + path);
-  save_zone_table(os, table);
-}
-
-zone_table load_zone_table(std::istream& is, double change_sigma_factor) {
-  std::string line;
-  if (!std::getline(is, line) || (line != "WISCAPE-ZONETABLE v1" &&
-                                  line != "WISCAPE-ZONETABLE v2")) {
-    throw std::invalid_argument("not a zone-table file (bad header)");
-  }
-  zone_table table(change_sigma_factor);
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (!parse_body_line(
-            line,
-            [&](const estimate_key& k, const epoch_estimate& e) {
-              table.restore(k, e);
-            },
-            [&](const estimate_key& k, const open_epoch_state& s) {
-              table.restore_open(k, s);
-            })) {
-      throw std::invalid_argument("malformed zone-table line: '" + line + "'");
-    }
-  }
-  return table;
-}
-
-zone_table load_zone_table_file(const std::string& path,
-                                double change_sigma_factor) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("cannot open for reading: " + path);
-  return load_zone_table(is, change_sigma_factor);
-}
 
 void save_state(std::ostream& os, const durable_state& state) {
   if (fault::fire(fault::site::persist_save) == fault::action::fail) {
@@ -190,15 +137,6 @@ void load_state(std::istream& is, durable_state& state) {
     throw std::invalid_argument("malformed coordinator-state line: '" + line +
                                 "'");
   }
-}
-
-void save_coordinator_state(std::ostream& os,
-                            const sharded_coordinator& coord) {
-  save_state(os, coord);
-}
-
-void load_coordinator_state(std::istream& is, sharded_coordinator& coord) {
-  load_state(is, coord);
 }
 
 }  // namespace wiscape::core

@@ -313,7 +313,7 @@ bool session::pump(const shed_state& shed, pump_stats& stats) {
     // other than hand the line to the handler (HELLO gate not yet
     // satisfied, report class being shed) so replies and accounting stay
     // byte-for-byte identical.
-    if (coalesce_reports_ && frame_lines_total_ == 1 && request_len >= 8 &&
+    if (frame_lines_total_ == 1 && request_len >= 8 &&
         (saw_hello_ || !require_hello_) && !sheds_reports(shed) &&
         starts_with_report(in_, 0)) {
       std::size_t group_end = request_len;

@@ -70,11 +70,6 @@ struct session_limits {
   std::size_t read_buffer_bytes = 1u << 20;   ///< request cap (ring max)
   std::size_t write_buffer_bytes = 4u << 20;  ///< queued-replies cap
   bool require_hello = true;  ///< enforce HELLO-before-anything on this port
-  /// Group runs of >= 2 consecutive single-line REPORTs buffered in one
-  /// pump into one handle_report_group() call (one ingestion submit per
-  /// run instead of one per line). Replies stay byte-identical and
-  /// positional; disable to force per-line dispatch.
-  bool coalesce_reports = true;
 };
 
 /// One pump() call's view of the backpressure state. The event loop caches
@@ -103,8 +98,7 @@ class session {
       : in_(limits.read_buffer_bytes),
         out_(limits.write_buffer_bytes),
         handler_(&handler),
-        require_hello_(limits.require_hello),
-        coalesce_reports_(limits.coalesce_reports) {}
+        require_hello_(limits.require_hello) {}
 
   /// Receive ring: the socket (or a test) appends raw bytes here.
   byte_ring& in() noexcept { return in_; }
@@ -160,7 +154,6 @@ class session {
   byte_ring out_;
   proto::coordinator_server* handler_;
   bool require_hello_;
-  bool coalesce_reports_;
   bool saw_hello_ = false;
   close_reason reason_ = close_reason::none;
   std::uint32_t hello_version_ = 0;

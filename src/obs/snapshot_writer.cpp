@@ -47,8 +47,8 @@ void snapshot_writer::write_one() {
   const double uptime =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();
-  write_snapshot_json(out_, reg_, seq_.fetch_add(1, std::memory_order_relaxed),
-                      uptime);
+  write_snapshot_json(out_, reg_,
+                      written_.fetch_add(1, std::memory_order_relaxed), uptime);
   out_.flush();
 }
 

@@ -50,7 +50,7 @@ class snapshot_writer {
 
   /// Snapshot lines written so far (including the final one after stop()).
   std::uint64_t snapshots_written() const noexcept {
-    return seq_.load(std::memory_order_relaxed);
+    return written_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -61,7 +61,7 @@ class snapshot_writer {
   std::ofstream out_;
   std::chrono::milliseconds interval_;
   std::chrono::steady_clock::time_point start_;
-  std::atomic<std::uint64_t> seq_{0};
+  std::atomic<std::uint64_t> written_{0};
   std::mutex mu_;
   std::condition_variable cv_;
   bool stopping_ = false;

@@ -73,6 +73,23 @@ server_metrics& metrics() {
   return m;
 }
 
+constexpr std::string_view kInjectedFault = "injected fault: request refused";
+constexpr std::string_view kStopped = "ingestion pipeline stopped";
+
+/// Scenario seam: an injected fault refuses a request before dispatch,
+/// answering the typed ERR a dying transport or overloaded server would, so
+/// clients and accounting exercise the real rejection path. Whole-request
+/// granularity keeps REPORTB frames all-or-nothing. One relaxed load when
+/// no hook is installed.
+bool refused_by_fault() {
+  if (core::fault::fire(core::fault::site::server_handle) !=
+      core::fault::action::fail) {
+    return false;
+  }
+  metrics().faults_injected.inc();
+  return true;
+}
+
 // Registry names are constants from obs/names.h in practice, but the STATS
 // frame's integrity must not depend on that: any byte that could break the
 // "name value" line/token framing (whitespace, control characters, non-ASCII)
@@ -109,10 +126,80 @@ void encode_stats_into(reply_buffer& out) {
   }
 }
 
+/// One request's reply context: where its reply starts in `out` and which
+/// framing its ERR takes. Every refusal goes through fail(), so the
+/// per-reason counters cannot drift from the wire.
+struct coordinator_server::request_scope {
+  coordinator_server& server;
+  reply_buffer& out;
+  std::size_t base;
+  bool binary;
+
+  /// Replaces whatever the command rendered since `base` (a QUERYB frame
+  /// may ERR mid-payload) with the framing's ERR encoding.
+  void fail(err_code code, std::string_view detail) {
+    server.count_error(code);
+    out.truncate(base);
+    if (binary) {
+      v3::encode_error_frame(code, detail, out);
+    } else {
+      encode_error_into(code, detail, out);
+    }
+  }
+};
+
+void coordinator_server::count_error(err_code code) {
+  auto& m = metrics();
+  switch (code) {
+    case err_code::parse:
+      m.err_parse.inc();
+      break;
+    case err_code::unsupported:
+      m.err_unsupported.inc();
+      break;
+    case err_code::stopped:
+      m.err_stopped.inc();
+      break;
+    case err_code::version:
+      m.err_version.inc();
+      break;
+    case err_code::internal:
+      m.err_internal.inc();
+      break;
+    case err_code::overload:
+      // Normally counted by the transport that shed the request (the
+      // handler itself never sheds); kept so the per-reason counters stay
+      // total over every ERR source.
+      m.err_overload.inc();
+      break;
+  }
+  errors_.fetch_add(1, std::memory_order_relaxed);
+}
+
+bool coordinator_server::ingest(std::span<trace::measurement_record> recs) {
+  // Resolve the operator id once at the wire boundary so the apply path
+  // skips the string hash (the coordinator re-validates before trusting).
+  // Runs overwhelmingly repeat one operator: re-resolve only on a change.
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    recs[i].network_id = i > 0 && recs[i].network == recs[i - 1].network
+                             ? recs[i - 1].network_id
+                             : coordinator_->network_id_of(recs[i].network);
+  }
+  // One record goes straight to its shard: report_batch regroups records
+  // by shard, which allocates once there are several shards.
+  const bool accepted = recs.size() == 1
+                            ? coordinator_->report(recs[0])
+                            : coordinator_->report_batch(recs) == recs.size();
+  if (accepted) {
+    reports_.fetch_add(recs.size(), std::memory_order_relaxed);
+    metrics().reports.inc(recs.size());
+  }
+  return accepted;
+}
+
 std::optional<estimate_reply> coordinator_server::lookup_one(
     const query_request& q) const {
-  const geo::zone_id zone =
-      (sharded_ != nullptr ? sharded_->grid() : coord_->grid()).zone_of(q.pos);
+  const geo::zone_id zone = coordinator_->grid().zone_of(q.pos);
   const auto est = view_.lookup(zone, q.network, q.metric, q.time_s);
   if (!est) return std::nullopt;
   estimate_reply rep;
@@ -133,430 +220,291 @@ request_view request_view::detect(std::string_view data) noexcept {
 }
 
 void coordinator_server::handle(request_view req, reply_buffer& out) {
-  if (req.framing() == request_view::kind::binary) {
-    handle_frame_into(req.bytes(), out);
+  auto& m = metrics();
+  const bool binary = req.framing() == request_view::kind::binary;
+  request_scope rq{*this, out, out.size(), binary};
+  m.lines.inc();
+  if (binary) m.binary_frames.inc();
+  if (refused_by_fault()) {
+    rq.fail(err_code::internal, kInjectedFault);
   } else {
-    handle_text_into(req.bytes(), out);
-  }
-}
-
-std::string coordinator_server::handle(std::string_view line) {
-  reply_buffer out;
-  handle(request_view::detect(line), out);
-  return std::string(out.view());
-}
-
-void coordinator_server::handle_into(std::string_view line, reply_buffer& out) {
-  handle(request_view::detect(line), out);
-}
-
-void coordinator_server::handle_text_into(std::string_view line,
-                                          reply_buffer& out) {
-  const std::size_t base = out.size();
-  metrics().lines.inc();
-  const std::string_view type = message_type(line);
-  // Every ERR reply carries a stable machine-readable code; counting happens
-  // here so the per-reason counters cannot drift from the wire. A partially
-  // rendered reply (a QUERYB frame that ERRs mid-payload) is truncated back
-  // to `base` first -- ERR replaces, never appends.
-  const auto fail = [this, &out, base](err_code code, std::string_view detail) {
-    auto& m = metrics();
-    switch (code) {
-      case err_code::parse:
-        m.err_parse.inc();
-        break;
-      case err_code::unsupported:
-        m.err_unsupported.inc();
-        break;
-      case err_code::stopped:
-        m.err_stopped.inc();
-        break;
-      case err_code::version:
-        m.err_version.inc();
-        break;
-      case err_code::internal:
-        m.err_internal.inc();
-        break;
-      case err_code::overload:
-        // Normally counted by the transport that shed the request (the line
-        // handler itself never sheds); kept here so the per-reason counters
-        // stay total over every ERR source.
-        m.err_overload.inc();
-        break;
+    try {
+      if (binary) {
+        execute_frame(req.bytes(), rq);
+      } else {
+        execute_text(req.bytes(), rq);
+      }
+    } catch (const std::invalid_argument& e) {
+      // The protocol promises a reply per request; malformed input is a
+      // client bug the server reports, not a server crash.
+      rq.fail(err_code::parse, e.what());
+    } catch (const std::exception& e) {
+      // Defense in depth: nothing below is expected to throw anything else
+      // on wire input (the coordinator rejects bad records instead), but if
+      // it does, answer ERR rather than take down the transport.
+      rq.fail(err_code::internal, e.what());
     }
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    out.truncate(base);
-    encode_error_into(code, detail, out);
-  };
-  // Scenario seam: an injected fault refuses the request before dispatch,
-  // answering the typed ERR a dying transport/overloaded server would --
-  // clients and accounting exercise the real rejection path. Whole-request
-  // granularity keeps REPORTB frames all-or-nothing. One relaxed load when
-  // no hook is installed.
-  if (core::fault::fire(core::fault::site::server_handle) ==
-      core::fault::action::fail) {
-    metrics().faults_injected.inc();
-    fail(err_code::internal, "injected fault: request refused");
-    metrics().reply_bytes.inc(out.size() - base);
-    return;
   }
-  try {
-    if (type == "CHECKIN") {
-      obs::span timed(metrics().checkin_latency);
-      const auto req = decode_checkin(line);
-      const auto task =
-          sharded_ ? sharded_->checkin(req.pos, req.time_s, req.network_index,
-                                       req.active_in_zone, req.client_id)
-                   : coord_->checkin(req.pos, req.time_s, req.network_index,
-                                     req.active_in_zone, req.client_id);
-      metrics().checkins.inc();
-      if (!task) {
-        out.append("IDLE");
-      } else {
-        tasks_.fetch_add(1, std::memory_order_relaxed);
-        task_assignment rep;
-        rep.kind = task->kind;
-        rep.network_index = static_cast<std::uint32_t>(task->network_index);
-        encode_into(rep, out);
-      }
-    } else if (type == "REPORT") {
-      obs::span timed(metrics().report_latency);
-      auto rep = decode_report(line);
-      // Resolve the operator id once at the wire boundary so the apply path
-      // skips the string hash (the coordinator re-validates before trusting).
-      rep.record.network_id =
-          sharded_ ? sharded_->network_id_of(rep.record.network)
-                   : coord_->network_id_of(rep.record.network);
-      if (sharded_ && !sharded_->report(rep.record)) {
-        fail(err_code::stopped, "ingestion pipeline stopped");
-      } else {
-        if (!sharded_) coord_->report(rep.record);
-        reports_.fetch_add(1, std::memory_order_relaxed);
-        metrics().reports.inc();
-        out.append("ACK");
-      }
-    } else if (type == "REPORTB") {
-      obs::span timed(metrics().batch_latency);
-      auto& recs = out.records_scratch_;
-      decode_report_batch_into(line, recs);
-      // Batches overwhelmingly repeat one operator name; memoise the last
-      // resolution so a frame costs ~1 interner lookup, not one per record.
-      std::string_view last_name;
-      std::uint16_t last_id = trace::no_network_id;
-      for (auto& r : recs) {
-        if (r.network != last_name || last_name.empty()) {
-          last_id = sharded_ ? sharded_->network_id_of(r.network)
-                             : coord_->network_id_of(r.network);
-          last_name = r.network;
-        }
-        r.network_id = last_id;
-      }
-      if (sharded_ && sharded_->report_batch(recs) != recs.size()) {
-        fail(err_code::stopped, "ingestion pipeline stopped");
-      } else {
-        if (!sharded_) coord_->report_batch(recs);
-        reports_.fetch_add(recs.size(), std::memory_order_relaxed);
-        metrics().reports.inc(recs.size());
-        metrics().report_batches.inc();
-        out.append("ACK ");
-        out.append_u64(recs.size());
-      }
-    } else if (type == "QUERY") {
-      obs::span timed(metrics().query_latency);
-      const auto q = decode_query(line);
-      metrics().queries.inc();
+  m.reply_bytes.inc(out.size() - rq.base);
+}
+
+void coordinator_server::execute_text(std::string_view line,
+                                      request_scope& rq) {
+  auto& m = metrics();
+  reply_buffer& out = rq.out;
+  const std::string_view type = message_type(line);
+  if (type == "CHECKIN") {
+    obs::span timed(m.checkin_latency);
+    const auto req = decode_checkin(line);
+    const auto task =
+        coordinator_->checkin(req.pos, req.time_s, req.network_index,
+                              req.active_in_zone, req.client_id);
+    m.checkins.inc();
+    if (!task) {
+      out.append("IDLE");
+    } else {
+      tasks_.fetch_add(1, std::memory_order_relaxed);
+      task_assignment rep;
+      rep.kind = task->kind;
+      rep.network_index = static_cast<std::uint32_t>(task->network_index);
+      encode_into(rep, out);
+    }
+  } else if (type == "REPORT") {
+    obs::span timed(m.report_latency);
+    auto rep = decode_report(line);
+    if (!ingest({&rep.record, 1})) {
+      rq.fail(err_code::stopped, kStopped);
+    } else {
+      out.append("ACK");
+    }
+  } else if (type == "REPORTB") {
+    obs::span timed(m.batch_latency);
+    auto& recs = out.records_scratch_;
+    decode_report_batch_into(line, recs);
+    if (!ingest(recs)) {
+      rq.fail(err_code::stopped, kStopped);
+    } else {
+      m.report_batches.inc();
+      out.append("ACK ");
+      out.append_u64(recs.size());
+    }
+  } else if (type == "QUERY") {
+    obs::span timed(m.query_latency);
+    const auto q = decode_query(line);
+    m.queries.inc();
+    const auto rep = lookup_one(q);
+    if (rep) {
+      encode_into(*rep, out);
+    } else {
+      out.append("NONE");
+    }
+  } else if (type == "QUERYB") {
+    obs::span timed(m.query_batch_latency);
+    auto& queries = out.queries_scratch_;
+    decode_query_batch_into(line, queries);
+    out.append("ESTB ");
+    out.append_u64(queries.size());
+    for (const auto& q : queries) {
+      out.append('\n');
       const auto rep = lookup_one(q);
       if (rep) {
         encode_into(*rep, out);
       } else {
         out.append("NONE");
       }
-    } else if (type == "QUERYB") {
-      obs::span timed(metrics().query_batch_latency);
-      auto& queries = out.queries_scratch_;
-      decode_query_batch_into(line, queries);
-      out.append("ESTB ");
-      out.append_u64(queries.size());
-      for (const auto& q : queries) {
-        out.append('\n');
-        const auto rep = lookup_one(q);
-        if (rep) {
-          encode_into(*rep, out);
-        } else {
-          out.append("NONE");
-        }
-      }
-      metrics().queries.inc(queries.size());
-      metrics().query_batches.inc();
-    } else if (type == "ALERTS") {
-      obs::span timed(metrics().alerts_latency);
-      const auto req = decode_alerts_request(line);
-      const auto drained = view_.alerts_since(
-          req.since, std::min<std::size_t>(req.max, max_alert_batch));
-      alerts_reply rep;
-      rep.alerts.reserve(drained.alerts.size());
-      for (const auto& a : drained.alerts) {
-        alert_event ev;
-        ev.seq = a.seq;
-        ev.zone = a.alert.key.zone;
-        ev.network = a.alert.key.network;
-        ev.metric = a.alert.key.metric;
-        ev.epoch_start_s = a.alert.epoch_start_s;
-        ev.previous_mean = a.alert.previous_mean;
-        ev.new_mean = a.alert.new_mean;
-        ev.previous_stddev = a.alert.previous_stddev;
-        rep.alerts.push_back(std::move(ev));
-      }
-      rep.next_seq = drained.next_seq;
-      rep.dropped = drained.dropped;
-      metrics().alerts_requests.inc();
-      encode_into(rep, out);
-    } else if (type == "HELLO") {
-      const auto req = decode_hello(line);
-      if (req.version < wire_min_version) {
-        fail(err_code::version, "client version below supported minimum");
-      } else {
-        metrics().hellos.inc();
-        hello_reply rep;
-        rep.version = std::min(req.version, opts_.advertised_version);
-        rep.min_version = wire_min_version;
-        encode_into(rep, out);
-      }
-    } else if (type == "STATS") {
-      metrics().stats_requests.inc();
-      encode_stats_into(out);
-    } else {
-      // Compose "unsupported request: '<clipped line>'" on the stack
-      // (22-byte prefix + a 120-byte excerpt + "..." + quote fits in 160);
-      // encode_error_into applies the final 120-byte detail clip, matching
-      // the historical error_excerpt composition byte-for-byte.
-      char detail[160];
-      std::size_t len = 0;
-      const auto put = [&detail, &len](std::string_view s) {
-        const std::size_t k = std::min(s.size(), sizeof detail - len);
-        std::memcpy(detail + len, s.data(), k);
-        len += k;
-      };
-      put("unsupported request: '");
-      if (line.size() <= 120) {
-        put(line);
-      } else {
-        put(line.substr(0, 120));
-        put("...");
-      }
-      put("'");
-      fail(err_code::unsupported, {detail, len});
     }
-  } catch (const std::invalid_argument& e) {
-    // The line protocol promises a reply per request; malformed input is a
-    // client bug the server reports, not a server crash.
-    fail(err_code::parse, e.what());
-  } catch (const std::exception& e) {
-    // Defense in depth: nothing below is expected to throw anything else on
-    // wire input (the coordinator rejects bad records instead), but if it
-    // does, answer ERR rather than letting the throw escape the protocol
-    // layer and take down the transport.
-    fail(err_code::internal, e.what());
+    m.queries.inc(queries.size());
+    m.query_batches.inc();
+  } else if (type == "ALERTS") {
+    obs::span timed(m.alerts_latency);
+    const auto req = decode_alerts_request(line);
+    const auto drained = view_.alerts_since(
+        req.since, std::min<std::size_t>(req.max, max_alert_batch));
+    alerts_reply rep;
+    rep.alerts.reserve(drained.alerts.size());
+    for (const auto& a : drained.alerts) {
+      alert_event ev;
+      ev.seq = a.seq;
+      ev.zone = a.alert.key.zone;
+      ev.network = a.alert.key.network;
+      ev.metric = a.alert.key.metric;
+      ev.epoch_start_s = a.alert.epoch_start_s;
+      ev.previous_mean = a.alert.previous_mean;
+      ev.new_mean = a.alert.new_mean;
+      ev.previous_stddev = a.alert.previous_stddev;
+      rep.alerts.push_back(std::move(ev));
+    }
+    rep.next_seq = drained.next_seq;
+    rep.dropped = drained.dropped;
+    m.alerts_requests.inc();
+    encode_into(rep, out);
+  } else if (type == "HELLO") {
+    const auto req = decode_hello(line);
+    if (req.version < wire_min_version) {
+      rq.fail(err_code::version, "client version below supported minimum");
+    } else {
+      m.hellos.inc();
+      hello_reply rep;
+      rep.version = std::min(req.version, opts_.advertised_version);
+      rep.min_version = wire_min_version;
+      encode_into(rep, out);
+    }
+  } else if (type == "STATS") {
+    m.stats_requests.inc();
+    encode_stats_into(out);
+  } else {
+    // Compose "unsupported request: '<clipped line>'" on the stack
+    // (22-byte prefix + a 120-byte excerpt + "..." + quote fits in 160);
+    // encode_error_into applies the final 120-byte detail clip, matching
+    // the historical error_excerpt composition byte-for-byte.
+    char detail[160];
+    std::size_t len = 0;
+    const auto put = [&detail, &len](std::string_view s) {
+      const std::size_t k = std::min(s.size(), sizeof detail - len);
+      std::memcpy(detail + len, s.data(), k);
+      len += k;
+    };
+    put("unsupported request: '");
+    if (line.size() <= 120) {
+      put(line);
+    } else {
+      put(line.substr(0, 120));
+      put("...");
+    }
+    put("'");
+    rq.fail(err_code::unsupported, {detail, len});
   }
-  metrics().reply_bytes.inc(out.size() - base);
 }
 
-void coordinator_server::handle_frame_into(std::string_view frame,
-                                           reply_buffer& out) {
-  const std::size_t base = out.size();
+void coordinator_server::execute_frame(std::string_view frame,
+                                       request_scope& rq) {
   auto& m = metrics();
-  m.lines.inc();
-  m.binary_frames.inc();
-  // The binary twin of handle_into's fail lambda: same per-reason counters,
-  // same replace-never-append discipline, but the reply is an err frame.
-  const auto fail = [this, &out, base, &m](err_code code,
-                                           std::string_view detail) {
-    switch (code) {
-      case err_code::parse:
-        m.err_parse.inc();
-        break;
-      case err_code::unsupported:
-        m.err_unsupported.inc();
-        break;
-      case err_code::stopped:
-        m.err_stopped.inc();
-        break;
-      case err_code::version:
-        m.err_version.inc();
-        break;
-      case err_code::internal:
-        m.err_internal.inc();
-        break;
-      case err_code::overload:
-        m.err_overload.inc();
-        break;
-    }
-    errors_.fetch_add(1, std::memory_order_relaxed);
-    out.truncate(base);
-    v3::encode_error_frame(code, detail, out);
-  };
-  // The same scenario seam as the text path: whole-frame granularity keeps
-  // binary REPORTB all-or-nothing, and fault ordinals stay comparable
-  // across framings.
-  if (core::fault::fire(core::fault::site::server_handle) ==
-      core::fault::action::fail) {
-    m.faults_injected.inc();
-    fail(err_code::internal, "injected fault: request refused");
-    m.reply_bytes.inc(out.size() - base);
+  reply_buffer& out = rq.out;
+  const auto hdr = v3::peek_header(frame);
+  if (!hdr || frame.size() != v3::frame_header_bytes + hdr->payload_len) {
+    rq.fail(err_code::parse, "malformed binary frame envelope");
     return;
   }
-  try {
-    const auto hdr = v3::peek_header(frame);
-    if (!hdr || frame.size() != v3::frame_header_bytes + hdr->payload_len) {
-      fail(err_code::parse, "malformed binary frame envelope");
-    } else {
-      switch (hdr->op) {
-        case v3::opcode::report: {
-          obs::span timed(m.report_latency);
-          auto rep = v3::decode_report_frame(frame);
-          rep.record.network_id =
-              sharded_ ? sharded_->network_id_of(rep.record.network)
-                       : coord_->network_id_of(rep.record.network);
-          if (sharded_ && !sharded_->report(rep.record)) {
-            fail(err_code::stopped, "ingestion pipeline stopped");
-          } else {
-            if (!sharded_) coord_->report(rep.record);
-            reports_.fetch_add(1, std::memory_order_relaxed);
-            m.reports.inc();
-            v3::encode_ack_frame(out);
-          }
-          break;
-        }
-        case v3::opcode::reportb: {
-          obs::span timed(m.batch_latency);
-          auto& recs = out.records_scratch_;
-          v3::decode_report_batch_frame_into(frame, recs);
-          std::string_view last_name;
-          std::uint16_t last_id = trace::no_network_id;
-          for (auto& r : recs) {
-            if (r.network != last_name || last_name.empty()) {
-              last_id = sharded_ ? sharded_->network_id_of(r.network)
-                                 : coord_->network_id_of(r.network);
-              last_name = r.network;
-            }
-            r.network_id = last_id;
-          }
-          if (sharded_ && sharded_->report_batch(recs) != recs.size()) {
-            fail(err_code::stopped, "ingestion pipeline stopped");
-          } else {
-            if (!sharded_) coord_->report_batch(recs);
-            reports_.fetch_add(recs.size(), std::memory_order_relaxed);
-            m.reports.inc(recs.size());
-            m.report_batches.inc();
-            v3::encode_ack_frame(recs.size(), out);
-          }
-          break;
-        }
-        case v3::opcode::query: {
-          obs::span timed(m.query_latency);
-          const auto q = v3::decode_query_frame(frame);
-          m.queries.inc();
-          v3::encode_estimate_frame(lookup_one(q), out);
-          break;
-        }
-        case v3::opcode::queryb: {
-          obs::span timed(m.query_batch_latency);
-          auto& queries = out.queries_scratch_;
-          v3::decode_query_batch_frame_into(frame, queries);
-          v3::estimate_batch_builder estb(
-              static_cast<std::uint32_t>(queries.size()), out);
-          for (const auto& q : queries) estb.add(lookup_one(q));
-          estb.finish();
-          m.queries.inc(queries.size());
-          m.query_batches.inc();
-          break;
-        }
-        case v3::opcode::epoch: {
-          // Replication pull: serve log records after the follower's
-          // sequence cursor. Decode-before-dispatch keeps the error
-          // classes honest (a malformed pull is parse, not unsupported).
-          const auto pull = v3::decode_epoch_pull_frame(frame);
-          if (repl_ == nullptr) {
-            fail(err_code::unsupported, "replication not attached");
-            break;
-          }
-          auto& updates = out.epochs_scratch_;
-          updates.clear();
-          const auto max = static_cast<std::uint32_t>(
-              std::min<std::uint64_t>(pull.max_records, v3::max_epoch_batch));
-          if (!repl_->pull(pull.since_seq, max, updates)) {
-            fail(err_code::stopped,
-                 "log truncated below requested seq; snapshot required");
-          } else {
-            v3::encode_epoch_batch_frame(updates, out);
-          }
-          break;
-        }
-        case v3::opcode::epochb: {
-          // An EPOCHB arriving as a request is a follower-apply: the
-          // leader->follower stream pushes the same bytes a pull returns.
-          auto& updates = out.epochs_scratch_;
-          v3::decode_epoch_batch_frame_into(frame, updates);
-          if (repl_ == nullptr) {
-            fail(err_code::unsupported, "replication not attached");
-          } else {
-            v3::encode_ack_frame(repl_->apply(updates), out);
-          }
-          break;
-        }
-        case v3::opcode::snapshot_req: {
-          const std::uint64_t offset = v3::decode_snapshot_req_frame(frame);
-          if (repl_ == nullptr) {
-            fail(err_code::unsupported, "replication not attached");
-            break;
-          }
-          // Chunk staging allocates (snapshot bytes are cold-path by
-          // definition: catch-up happens once per join, not per request).
-          std::string data;
-          std::uint64_t total = 0;
-          bool last = false;
-          if (!repl_->snapshot(offset, data, total, last)) {
-            fail(err_code::parse, "snapshot offset beyond end");
-          } else {
-            v3::encode_snapshot_chunk_frame(offset, total, last, data, out);
-          }
-          break;
-        }
-        case v3::opcode::promote: {
-          v3::decode_promote_frame(frame);
-          if (repl_ == nullptr) {
-            fail(err_code::unsupported, "replication not attached");
-          } else if (!repl_->promote()) {
-            fail(err_code::unsupported, "promotion refused");
-          } else {
-            v3::encode_ack_frame(out);
-          }
-          break;
-        }
-        case v3::opcode::ack:
-        case v3::opcode::est:
-        case v3::opcode::estb:
-        case v3::opcode::err:
-        case v3::opcode::snapshot_chunk: {
-          // Reply opcodes arriving as requests: the binary analogue of a
-          // client sending "EST ..." -- syntactically valid, not a request.
-          char detail[64];
-          const int len =
-              std::snprintf(detail, sizeof detail,
-                            "reply opcode '%s' is not a request",
-                            v3::opcode_name(hdr->op));
-          fail(err_code::unsupported,
-               {detail, len > 0 ? static_cast<std::size_t>(len) : 0});
-          break;
-        }
+  switch (hdr->op) {
+    case v3::opcode::report: {
+      obs::span timed(m.report_latency);
+      auto rep = v3::decode_report_frame(frame);
+      if (!ingest({&rep.record, 1})) {
+        rq.fail(err_code::stopped, kStopped);
+      } else {
+        v3::encode_ack_frame(out);
       }
+      break;
     }
-  } catch (const std::invalid_argument& e) {
-    fail(err_code::parse, e.what());
-  } catch (const std::exception& e) {
-    fail(err_code::internal, e.what());
+    case v3::opcode::reportb: {
+      obs::span timed(m.batch_latency);
+      auto& recs = out.records_scratch_;
+      v3::decode_report_batch_frame_into(frame, recs);
+      if (!ingest(recs)) {
+        rq.fail(err_code::stopped, kStopped);
+      } else {
+        m.report_batches.inc();
+        v3::encode_ack_frame(recs.size(), out);
+      }
+      break;
+    }
+    case v3::opcode::query: {
+      obs::span timed(m.query_latency);
+      const auto q = v3::decode_query_frame(frame);
+      m.queries.inc();
+      v3::encode_estimate_frame(lookup_one(q), out);
+      break;
+    }
+    case v3::opcode::queryb: {
+      obs::span timed(m.query_batch_latency);
+      auto& queries = out.queries_scratch_;
+      v3::decode_query_batch_frame_into(frame, queries);
+      v3::estimate_batch_builder estb(
+          static_cast<std::uint32_t>(queries.size()), out);
+      for (const auto& q : queries) estb.add(lookup_one(q));
+      estb.finish();
+      m.queries.inc(queries.size());
+      m.query_batches.inc();
+      break;
+    }
+    case v3::opcode::epoch: {
+      // Replication pull: serve log records after the follower's sequence
+      // cursor. Decode-before-dispatch keeps the error classes honest (a
+      // malformed pull is parse, not unsupported).
+      const auto pull = v3::decode_epoch_pull_frame(frame);
+      if (repl_ == nullptr) {
+        rq.fail(err_code::unsupported, "replication not attached");
+        break;
+      }
+      auto& updates = out.epochs_scratch_;
+      updates.clear();
+      const auto max = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(pull.max_records, v3::max_epoch_batch));
+      if (!repl_->pull(pull.since_seq, max, updates)) {
+        rq.fail(err_code::stopped,
+                "log truncated below requested seq; snapshot required");
+      } else {
+        v3::encode_epoch_batch_frame(updates, out);
+      }
+      break;
+    }
+    case v3::opcode::epochb: {
+      // An EPOCHB arriving as a request is a follower-apply: the
+      // leader->follower stream pushes the same bytes a pull returns.
+      auto& updates = out.epochs_scratch_;
+      v3::decode_epoch_batch_frame_into(frame, updates);
+      if (repl_ == nullptr) {
+        rq.fail(err_code::unsupported, "replication not attached");
+      } else {
+        v3::encode_ack_frame(repl_->apply(updates), out);
+      }
+      break;
+    }
+    case v3::opcode::snapshot_req: {
+      const std::uint64_t offset = v3::decode_snapshot_req_frame(frame);
+      if (repl_ == nullptr) {
+        rq.fail(err_code::unsupported, "replication not attached");
+        break;
+      }
+      // Chunk staging allocates (snapshot bytes are cold-path by
+      // definition: catch-up happens once per join, not per request).
+      std::string data;
+      std::uint64_t total = 0;
+      bool last = false;
+      if (!repl_->snapshot(offset, data, total, last)) {
+        rq.fail(err_code::parse, "snapshot offset beyond end");
+      } else {
+        v3::encode_snapshot_chunk_frame(offset, total, last, data, out);
+      }
+      break;
+    }
+    case v3::opcode::promote: {
+      v3::decode_promote_frame(frame);
+      if (repl_ == nullptr) {
+        rq.fail(err_code::unsupported, "replication not attached");
+      } else if (!repl_->promote()) {
+        rq.fail(err_code::unsupported, "promotion refused");
+      } else {
+        v3::encode_ack_frame(out);
+      }
+      break;
+    }
+    case v3::opcode::ack:
+    case v3::opcode::est:
+    case v3::opcode::estb:
+    case v3::opcode::err:
+    case v3::opcode::snapshot_chunk: {
+      // Reply opcodes arriving as requests: the binary analogue of a client
+      // sending "EST ..." -- syntactically valid, not a request.
+      char detail[64];
+      const int len = std::snprintf(detail, sizeof detail,
+                                    "reply opcode '%s' is not a request",
+                                    v3::opcode_name(hdr->op));
+      rq.fail(err_code::unsupported,
+              {detail, len > 0 ? static_cast<std::size_t>(len) : 0});
+      break;
+    }
   }
-  m.reply_bytes.inc(out.size() - base);
 }
 
 void coordinator_server::handle_report_group(std::string_view block,
@@ -580,34 +528,26 @@ void coordinator_server::handle_report_group(std::string_view block,
                          st_internal = 3;
   std::size_t pos = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    m.lines.inc();
-    const std::size_t nl = block.find('\n', pos);
-    std::string_view line =
-        block.substr(pos, nl == std::string_view::npos ? nl : nl - pos);
+    // Every line starts before the block's end; only the last may lack its
+    // '\n'. A short block throws here, before anything is ingested or
+    // answered.
+    if (pos >= block.size()) {
+      throw std::invalid_argument(
+          "handle_report_group: block holds fewer lines than count");
+    }
+    const std::size_t nl = std::min(block.find('\n', pos), block.size());
+    std::string_view line = block.substr(pos, nl - pos);
     pos = nl + 1;
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     // The fault seam fires once per line, exactly as per-line dispatch
     // would: a scenario that injects every-Nth-request failures sees the
     // same rejection positions whether or not the transport grouped.
-    if (core::fault::fire(core::fault::site::server_handle) ==
-        core::fault::action::fail) {
-      m.faults_injected.inc();
+    if (refused_by_fault()) {
       status.push_back(st_fault);
       continue;
     }
     try {
-      auto rep = decode_report(line);
-      // Runs overwhelmingly repeat one operator name; reuse the previous
-      // record's resolution instead of re-hashing. Compare against the
-      // stored record (not a cached view) -- push_back may move strings.
-      auto& r = rep.record;
-      if (!recs.empty() && recs.back().network == r.network) {
-        r.network_id = recs.back().network_id;
-      } else {
-        r.network_id = sharded_ ? sharded_->network_id_of(r.network)
-                                : coord_->network_id_of(r.network);
-      }
-      recs.push_back(std::move(r));
+      recs.push_back(std::move(decode_report(line).record));
       status.push_back(st_ok);
     } catch (const std::invalid_argument& e) {
       errs.emplace_back(e.what());
@@ -617,53 +557,30 @@ void coordinator_server::handle_report_group(std::string_view block,
       status.push_back(st_internal);
     }
   }
-  // One submission for every record that decoded: one ingestion queue lock
-  // and one counter delta per group. A stopped pipeline refuses the whole
-  // group (ERR stopped on every decoded line), mirroring REPORTB's
-  // all-or-nothing discipline.
-  bool stopped = false;
-  if (!recs.empty()) {
-    if (sharded_) {
-      stopped = sharded_->report_batch(recs) != recs.size();
-    } else {
-      coord_->report_batch(recs);
-    }
-  }
-  std::size_t n_ok = 0;
+  m.lines.inc(count);
+  // One submission for every record that decoded. A stopped pipeline
+  // refuses the whole group (ERR stopped on every decoded line), mirroring
+  // REPORTB's all-or-nothing discipline.
+  const bool accepted = ingest(recs);
   std::size_t err_i = 0;
   std::size_t reply_bytes = 0;
   for (const std::uint8_t st : status) {
-    const std::size_t before = out.size();
-    if (st == st_ok && !stopped) {
+    request_scope rq{*this, out, out.size(), false};
+    if (st == st_ok && accepted) {
       out.append("ACK");
-      ++n_ok;
     } else if (st == st_ok) {
-      m.err_stopped.inc();
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      encode_error_into(err_code::stopped, "ingestion pipeline stopped", out);
-    } else if (st == st_parse) {
-      m.err_parse.inc();
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      encode_error_into(err_code::parse, errs[err_i++], out);
+      rq.fail(err_code::stopped, kStopped);
     } else if (st == st_fault) {
-      m.err_internal.inc();
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      encode_error_into(err_code::internal, "injected fault: request refused",
-                        out);
+      rq.fail(err_code::internal, kInjectedFault);
     } else {
-      m.err_internal.inc();
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      encode_error_into(err_code::internal, errs[err_i++], out);
+      rq.fail(st == st_parse ? err_code::parse : err_code::internal,
+              errs[err_i++]);
     }
-    reply_bytes += out.size() - before;
+    reply_bytes += out.size() - rq.base;
     out.append('\n');
   }
-  if (n_ok > 0) {
-    reports_.fetch_add(n_ok, std::memory_order_relaxed);
-    m.reports.inc(n_ok);
-  }
   // reply_bytes counts reply payloads, not the '\n' separators, so the
-  // counter matches what count handle_into() calls would have recorded.
+  // counter matches what count handle() calls would have recorded.
   m.reply_bytes.inc(reply_bytes);
 }
 

@@ -64,11 +64,11 @@ bool serve_chunk(const std::string& cache, std::uint64_t offset,
 
 leader::leader(core::sharded_coordinator& coord, std::size_t log_capacity,
                core::durable_log* wal)
-    : coord_(&coord), log_(log_capacity, wal) {
-  coord_->set_epoch_tap(&log_);
+    : coordinator_(&coord), log_(log_capacity, wal) {
+  coordinator_->set_epoch_tap(&log_);
 }
 
-leader::~leader() { coord_->set_epoch_tap(nullptr); }
+leader::~leader() { coordinator_->set_epoch_tap(nullptr); }
 
 bool leader::pull(std::uint64_t since_seq, std::uint32_t max_records,
                   std::vector<proto::epoch_update>& out) {
@@ -78,7 +78,9 @@ bool leader::pull(std::uint64_t since_seq, std::uint32_t max_records,
 bool leader::snapshot(std::uint64_t offset, std::string& data,
                       std::uint64_t& total, bool& last) {
   std::lock_guard lock(snap_mu_);
-  if (offset == 0) capture_snapshot(*coord_, log_.last_seq(), snap_cache_);
+  if (offset == 0) {
+    capture_snapshot(*coordinator_, log_.last_seq(), snap_cache_);
+  }
   return serve_chunk(snap_cache_, offset, data, total, last);
 }
 
@@ -89,11 +91,11 @@ std::uint64_t leader::apply(std::span<const proto::epoch_update> updates) {
 
 follower::follower(core::sharded_coordinator& coord, std::size_t log_capacity,
                    core::durable_log* wal)
-    : coord_(&coord), log_(log_capacity, wal) {}
+    : coordinator_(&coord), log_(log_capacity, wal) {}
 
 follower::~follower() {
   if (promoted_.load(std::memory_order_acquire)) {
-    coord_->set_epoch_tap(nullptr);
+    coordinator_->set_epoch_tap(nullptr);
   }
 }
 
@@ -107,7 +109,7 @@ bool follower::snapshot(std::uint64_t offset, std::string& data,
   std::lock_guard lock(apply_mu_);
   if (offset == 0) {
     capture_snapshot(
-        *coord_,
+        *coordinator_,
         std::max(applied_seq_.load(std::memory_order_acquire), log_.last_seq()),
         snap_cache_);
   }
@@ -136,7 +138,7 @@ std::uint64_t follower::apply(std::span<const proto::epoch_update> updates) {
     est.mean = u.mean;
     est.stddev = u.stddev;
     est.samples = static_cast<std::size_t>(u.samples);
-    const bool was_merge = coord_->apply_epoch(key, est);
+    const bool was_merge = coordinator_->apply_epoch(key, est);
     m.applied.inc();
     if (was_merge) m.merged.inc();
     ++applied;
@@ -152,7 +154,7 @@ bool follower::promote() {
   // Continue the leader's sequencing: a peer whose pull cursor is the old
   // leader's seq N keeps pulling from N here without a gap or an overlap.
   log_.reset(applied_seq_.load(std::memory_order_relaxed) + 1);
-  coord_->set_epoch_tap(&log_);
+  coordinator_->set_epoch_tap(&log_);
   promoted_.store(true, std::memory_order_release);
   metrics().promotions.inc();
   return true;
@@ -221,7 +223,7 @@ void follower::catch_up(const transport& send) {
   const std::uint64_t seq = std::stoull(snap.substr(8, nl - 8));
   std::istringstream is(snap.substr(nl + 1));
   std::lock_guard lock(apply_mu_);
-  core::load_state(is, *coord_);
+  core::load_state(is, *coordinator_);
   applied_seq_.store(seq, std::memory_order_release);
 }
 

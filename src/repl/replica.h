@@ -79,7 +79,7 @@ class leader : public proto::replication_endpoint {
   bool promote() override { return false; }
 
  private:
-  core::sharded_coordinator* coord_;
+  core::sharded_coordinator* coordinator_;
   epoch_log log_;
   std::mutex snap_mu_;      // guards the catch-up snapshot capture
   std::string snap_cache_;  // "REPLSEQ <n>\n" + persist state rendering
@@ -138,7 +138,7 @@ class follower : public proto::replication_endpoint {
   void catch_up(const transport& send);
 
  private:
-  core::sharded_coordinator* coord_;
+  core::sharded_coordinator* coordinator_;
   epoch_log log_;
   std::mutex apply_mu_;     // orders apply()/promote() across server threads
   std::string snap_cache_;  // catch-up snapshot capture (post-promotion)

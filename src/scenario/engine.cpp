@@ -103,6 +103,13 @@ struct feed_state {
   std::uint64_t last_tick = 0;
 };
 
+/// Serves one request through the in-process handler and returns the reply.
+std::string serve(proto::coordinator_server& server, proto::request_view req) {
+  proto::reply_buffer rb;
+  server.handle(req, rb);
+  return std::string(rb.view());
+}
+
 }  // namespace
 
 scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
@@ -243,7 +250,7 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
     tcp_connect(true);
   }
   auto wire = [&](std::string_view req) -> std::string {
-    if (!tcp) return server->handle(req);
+    if (!tcp) return serve(*server, proto::request_view::text(req));
     for (int attempt = 0;; ++attempt) {
       if (!wire_client.connected()) tcp_connect(false);
       try {
@@ -260,7 +267,7 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
   // discards the cut frame at EOF, the retry resends the whole frame -- so
   // the acked/erred ledger stays exact).
   auto wire_frame = [&](std::string_view frame) -> std::string {
-    if (!tcp) return server->handle(frame);
+    if (!tcp) return serve(*server, proto::request_view::binary(frame));
     for (int attempt = 0;; ++attempt) {
       if (!wire_client.connected()) tcp_connect(false);
       try {
@@ -386,7 +393,7 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
       std::stringstream snap_io;
       bool saved = true;
       try {
-        core::save_coordinator_state(snap_io, *coord);
+        core::save_state(snap_io, *coord);
       } catch (const std::exception&) {
         saved = false;  // injected persist_save fault: skip the restart
       }
@@ -404,7 +411,7 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
         coord.reset();
         coord = std::make_unique<core::sharded_coordinator>(grid, names, scfg,
                                                             seed);
-        core::load_coordinator_state(snap_io, *coord);
+        core::load_state(snap_io, *coord);
         server = std::make_unique<proto::coordinator_server>(*coord);
         if (was_tcp) {
           tcp_start();
@@ -436,7 +443,8 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
       // Promote through the unified wire path -- the same PROMOTE frame an
       // operator's failover tooling would send.
       const std::string reply =
-          fserver->handle(proto::v3::encode_promote_frame());
+          serve(*fserver, proto::request_view::binary(
+                              proto::v3::encode_promote_frame()));
       if (reply_opcode(reply) != proto::v3::opcode::ack) {
         note("leader_failover", t, "wire PROMOTE was refused");
       }
@@ -822,7 +830,8 @@ scenario_result run_scenario(const scenario_config& cfg, std::uint64_t seed) {
           q.network = key.network;
           q.metric = key.metric;
           q.time_s = T0 + cfg.tick_s;
-          const std::string reply = fserver->handle(proto::encode(q));
+          const std::string reply =
+              serve(*fserver, proto::request_view::text(proto::encode(q)));
           if (proto::message_type(reply) != "EST") {
             note("replica_query", t,
                  "follower QUERY drew '" +

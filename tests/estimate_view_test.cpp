@@ -191,7 +191,12 @@ TEST(EstimateMirror, PublishReadRoundTripAndGrowth) {
 TEST(EstimateView, ServesExactlyWhatTheTableFroze) {
   const geo::zone_grid grid(test_proj(), 250.0);
   const std::vector<std::string> nets{"NetB", "NetC"};
-  coordinator coord(grid, nets, small_epoch_config(), /*seed=*/42);
+  // The view serves a 1-shard synchronous coordinator; `ref`, the
+  // sequential state machine it reproduces, holds the table to match.
+  coordinator ref(grid, nets, small_epoch_config(), /*seed=*/42);
+  sharded_coordinator coord(grid, nets,
+                            testing::sequential(small_epoch_config()),
+                            /*seed=*/42);
   const estimate_view view(coord);
 
   // Nothing published yet: every lookup is a miss.
@@ -199,14 +204,15 @@ TEST(EstimateView, ServesExactlyWhatTheTableFroze) {
                            trace::metric::tcp_throughput_bps));
 
   for (const auto& rec : synthetic_stream(/*seed=*/9, /*count=*/4000)) {
+    ref.report(rec);
     coord.report(rec);
   }
 
-  const auto keys = coord.keys();
+  const auto keys = ref.keys();
   ASSERT_FALSE(keys.empty());
   std::size_t published = 0;
   for (const auto& key : keys) {
-    const auto want = coord.table_for_test().latest(key);
+    const auto want = ref.table_for_test().latest(key);
     const auto got = view.lookup(key.zone, key.network, key.metric);
     ASSERT_EQ(want.has_value(), got.has_value()) << key.network;
     if (!want) continue;
@@ -216,7 +222,7 @@ TEST(EstimateView, ServesExactlyWhatTheTableFroze) {
     EXPECT_EQ(got->stddev, want->stddev);
     EXPECT_EQ(got->epoch_start_s, want->epoch_start_s);
     EXPECT_EQ(got->count, static_cast<std::uint64_t>(want->samples));
-    const auto hist = coord.table_for_test().history(key);
+    const auto hist = ref.table_for_test().history(key);
     EXPECT_EQ(got->epoch_index, hist.size() - 1);
     // Serving context: confidence is the paper's ~100-sample ratio,
     // staleness prices the caller's clock.
@@ -243,13 +249,16 @@ TEST(EstimateView, SequentialAlertsMatchTableOrderWithSequences) {
   const std::vector<std::string> nets{"NetB", "NetC"};
   coordinator_config cfg = small_epoch_config();
   cfg.alert_ring_capacity = 1 << 14;  // keep everything for the comparison
-  coordinator coord(grid, nets, cfg, /*seed=*/42);
+  coordinator ref(grid, nets, cfg, /*seed=*/42);
+  sharded_coordinator coord(grid, nets, testing::sequential(cfg),
+                            /*seed=*/42);
   const estimate_view view(coord);
 
   for (const auto& rec : synthetic_stream(/*seed=*/21, /*count=*/4000)) {
+    ref.report(rec);
     coord.report(rec);
   }
-  const auto& table_alerts = coord.alerts();
+  const auto& table_alerts = ref.alerts();
   ASSERT_FALSE(table_alerts.empty());
 
   const auto drained = view.alerts_since(0, table_alerts.size() + 10);
@@ -406,7 +415,10 @@ TEST(EstimateView, ShardedAlertDrainIsMonotoneAndAccountsLosses) {
 TEST(EstimateKnowledge, MatchesFrozenDirectReadDecisions) {
   const geo::zone_grid grid(test_proj(), 250.0);
   const std::vector<std::string> nets{"NetB", "NetC"};
-  coordinator coord(grid, nets, small_epoch_config(), /*seed=*/42);
+  coordinator ref(grid, nets, small_epoch_config(), /*seed=*/42);
+  sharded_coordinator coord(grid, nets,
+                            testing::sequential(small_epoch_config()),
+                            /*seed=*/42);
   // A dense TCP-only stream over a 3x3 zone block, so the decision grid
   // below sees all three regimes: zone estimates above the min-samples
   // gate, thin estimates falling back, and unmeasured zones.
@@ -420,9 +432,11 @@ TEST(EstimateKnowledge, MatchesFrozenDirectReadDecisions) {
       const char* net = rng.chance(0.5) ? "NetB" : "NetC";
       const double value =
           (net[3] == 'B' ? 1.5e6 : 2.5e6) * (1.0 + 0.2 * rng.normal());
-      coord.report(testing::make_record(
+      const auto rec = testing::make_record(
           1000.0 + static_cast<double>(i), net, proj.to_lat_lon(pos_xy),
-          trace::probe_kind::tcp_download, std::abs(value)));
+          trace::probe_kind::tcp_download, std::abs(value));
+      ref.report(rec);
+      coord.report(rec);
     }
   }
 
@@ -431,7 +445,7 @@ TEST(EstimateKnowledge, MatchesFrozenDirectReadDecisions) {
   const apps::estimate_knowledge knowledge(view, grid, nets, min_samples);
 
   // --- frozen reference: the pre-facade direct-read logic ---------------
-  const auto& table = coord.table_for_test();
+  const auto& table = ref.table_for_test();
   std::vector<double> ref_global(nets.size(), 0.0);
   {
     std::vector<double> wsum(nets.size(), 0.0), w(nets.size(), 0.0);

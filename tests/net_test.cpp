@@ -36,11 +36,12 @@ namespace {
 
 const geo::lat_lon here = cellnet::anchors::madison;
 
-// A sequential coordinator + line handler: sessions only need handle().
+// A 1-shard synchronous coordinator + line handler: sessions only need
+// handle().
 struct handler_fixture {
   cellnet::deployment dep = testing::tiny_deployment();
   geo::zone_grid grid{dep.proj(), 250.0};
-  core::coordinator coord{grid, dep.names(), core::coordinator_config{}, 5};
+  core::sharded_coordinator coord{grid, dep.names(), testing::sequential(), 5};
   proto::coordinator_server server{coord};
 };
 
@@ -340,7 +341,7 @@ bool eof_within(int fd, double wait_s) {
 TEST(TcpServer, RoundTripMatchesInProcessHandler) {
   handler_fixture fx;
   server_config cfg;
-  cfg.event_loops = 1;  // sequential handler
+  cfg.event_loops = 1;
   tcp_server srv(fx.server, cfg);
   srv.start();
 
@@ -358,18 +359,11 @@ TEST(TcpServer, RoundTripMatchesInProcessHandler) {
        {std::string("QUERY lat=43.07 lon=-89.4 net=NetB "
                     "metric=udp_throughput t=200"),
         std::string("ALERTS since=0 max=4")}) {
-    EXPECT_EQ(client.request(req), fx.server.handle(req)) << req;
+    EXPECT_EQ(client.request(req), testing::serve(fx.server, req)) << req;
   }
   client.close();
   srv.stop();
   EXPECT_EQ(srv.active_sessions(), 0u);
-}
-
-TEST(TcpServer, MultipleLoopsRequireConcurrentHandler) {
-  handler_fixture fx;  // sequential core::coordinator
-  server_config cfg;
-  cfg.event_loops = 2;
-  EXPECT_THROW(tcp_server(fx.server, cfg), std::invalid_argument);
 }
 
 TEST(TcpServer, IdleTimeoutCutsSessionMidFrame) {
@@ -478,12 +472,12 @@ std::string report_line(double t) {
   return proto::encode(rep);
 }
 
-TEST(NetSession, HandleIntoMatchesHandleOnGoldenCorpus) {
+TEST(NetSession, ReusedReplyBufferMatchesFreshOnCorpus) {
   handler_fixture fx;
   // One reused buffer across the corpus, like a session's arena: every
-  // reply must still match handle() byte for byte. STATS and CHECKIN are
-  // excluded -- their replies move between two calls by design (counters
-  // tick, the task rotation advances).
+  // reply must still match a fresh buffer's byte for byte. STATS and
+  // CHECKIN are excluded -- their replies move between two calls by design
+  // (counters tick, the task rotation advances).
   std::vector<proto::query_request> qs(2);
   qs[0].pos = here;
   qs[0].network = "NetB";
@@ -508,8 +502,8 @@ TEST(NetSession, HandleIntoMatchesHandleOnGoldenCorpus) {
   proto::reply_buffer out;
   for (const auto& req : corpus) {
     out.clear();
-    fx.server.handle_into(req, out);
-    EXPECT_EQ(out.view(), fx.server.handle(req)) << req;
+    fx.server.handle(proto::request_view::detect(req), out);
+    EXPECT_EQ(out.view(), testing::serve(fx.server, req)) << req;
   }
 }
 
@@ -547,7 +541,7 @@ TEST(NetSession, ReportGroupPreservesPerLineErrors) {
   // The middle reply is exactly what per-line dispatch answers.
   handler_fixture other;
   const std::string expect =
-      "ACK\n" + other.server.handle(bad) + "\nACK\n";
+      "ACK\n" + testing::serve(other.server, bad) + "\nACK\n";
   EXPECT_EQ(ring_text(s.out()), expect);
   EXPECT_EQ(fx.server.reports_received(), 2u);
 }
@@ -571,22 +565,30 @@ TEST(NetSession, ReportRunBrokenByOtherRequestClasses) {
   EXPECT_EQ(fx.server.reports_received(), 3u);
 }
 
-TEST(NetSession, CoalesceDisabledDispatchesPerLine) {
+TEST(NetSession, ReportGroupCountBeyondBlockThrows) {
+  // Regression: a count larger than the block's line count used to wrap
+  // the line cursor back to 0 and re-ingest line 1 (a 2-line block with
+  // count 4 answered "ACK ACK ERR ACK" and ingested 3 reports).
   handler_fixture fx;
-  session_limits lim;
-  lim.require_hello = false;
-  lim.coalesce_reports = false;
-  session s(lim, fx.server);
+  const std::string block =
+      report_line(100.0) + "\n" + report_line(101.0) + "\n";
+  proto::reply_buffer out;
+  EXPECT_THROW(fx.server.handle_report_group(block, 4, out),
+               std::invalid_argument);
+  EXPECT_THROW(fx.server.handle_report_group(block, 3, out),
+               std::invalid_argument);
+  EXPECT_TRUE(out.view().empty());
+  EXPECT_EQ(fx.server.reports_received(), 0u);
+  EXPECT_EQ(fx.server.errors(), 0u);
 
-  const std::string burst = report_line(100.0) + "\n" + report_line(101.0) +
-                            "\n" + report_line(102.0) + "\n";
-  pump_stats stats;
-  ASSERT_TRUE(s.in().append(burst));
-  EXPECT_TRUE(s.pump({}, stats));
-  EXPECT_EQ(stats.dispatched, 3u);
-  EXPECT_EQ(stats.grouped_reports, 0u);
-  EXPECT_EQ(ring_text(s.out()), "ACK\nACK\nACK\n");
-  EXPECT_EQ(fx.server.reports_received(), 3u);
+  // Exactly count lines -- the last one may lack its terminator -- serve.
+  fx.server.handle_report_group(block, 2, out);
+  EXPECT_EQ(out.view(), "ACK\nACK\n");
+  out.clear();
+  fx.server.handle_report_group(report_line(102.0) + "\n" + report_line(103.0),
+                                2, out);
+  EXPECT_EQ(out.view(), "ACK\nACK\n");
+  EXPECT_EQ(fx.server.reports_received(), 4u);
 }
 
 TEST(TcpServer, PipelinedRequestsCoalesceWritev) {

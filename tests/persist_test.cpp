@@ -1,5 +1,10 @@
+// Coordinator-state persistence (core::save_state / core::load_state) over
+// a 1-shard synchronous sharded_coordinator: bit-exact EST/OPEN round
+// trips, deterministic output, and typed rejection of malformed input.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "core/persist.h"
@@ -8,98 +13,133 @@
 namespace wiscape::core {
 namespace {
 
-zone_table populated_table() {
-  zone_table t(2.0);
-  stats::rng_stream r(4);
-  const estimate_key a{{3, -2}, "NetB", trace::metric::udp_throughput_bps};
-  const estimate_key b{{0, 5}, "NetC", trace::metric::rtt_s};
-  for (int epoch = 0; epoch < 4; ++epoch) {
-    for (int i = 0; i < 20; ++i) {
-      t.add_sample(a, epoch * 100.0 + i, r.normal(1e6, 5e4), 100.0);
-      t.add_sample(b, epoch * 100.0 + i, r.normal(0.12, 0.01), 100.0);
-    }
+const estimate_key kUdp{{3, -2}, "NetB", trace::metric::udp_throughput_bps};
+const estimate_key kRtt{{0, 5}, "NetC", trace::metric::rtt_s};
+
+struct persist_fixture {
+  geo::zone_grid grid{geo::projection(cellnet::anchors::madison), 250.0};
+
+  static coordinator_config cfg() {
+    coordinator_config c;
+    c.epochs.default_epoch_s = 100.0;
+    return c;
   }
-  return t;
+
+  std::unique_ptr<sharded_coordinator> fresh() const {
+    return std::make_unique<sharded_coordinator>(
+        grid, std::vector<std::string>{"NetB", "NetC"},
+        testing::sequential(cfg()), 1);
+  }
+
+  /// Four epochs of 20 samples on two streams: three frozen epochs and an
+  /// open one (t = 300..319) per stream.
+  std::unique_ptr<sharded_coordinator> populated() const {
+    auto c = fresh();
+    stats::rng_stream r(4);
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      for (int i = 0; i < 20; ++i) {
+        const double t = epoch * 100.0 + i;
+        c->report(testing::make_record(t, "NetB", grid.center(kUdp.zone),
+                                       trace::probe_kind::udp_burst,
+                                       r.normal(1e6, 5e4)));
+        c->report(testing::make_record(t, "NetC", grid.center(kRtt.zone),
+                                       trace::probe_kind::ping,
+                                       r.normal(0.12, 0.01)));
+      }
+    }
+    return c;
+  }
+
+  std::unique_ptr<sharded_coordinator> round_trip(
+      const sharded_coordinator& from, std::string* bytes = nullptr) const {
+    std::stringstream ss;
+    save_state(ss, from);
+    if (bytes != nullptr) *bytes = ss.str();
+    auto back = fresh();
+    load_state(ss, *back);
+    return back;
+  }
+};
+
+std::string saved(const sharded_coordinator& c) {
+  std::stringstream ss;
+  save_state(ss, c);
+  return ss.str();
 }
 
 TEST(Persist, RoundTripPreservesHistory) {
-  const auto t = populated_table();
-  std::stringstream ss;
-  save_zone_table(ss, t);
-  const auto back = load_zone_table(ss);
+  persist_fixture fx;
+  const auto orig = fx.populated();
+  const auto back = fx.round_trip(*orig);
 
-  ASSERT_EQ(back.keys().size(), t.keys().size());
-  for (const auto& key : t.keys()) {
-    const auto orig = t.history(key);
-    const auto rest = back.history(key);
-    ASSERT_EQ(rest.size(), orig.size());
-    for (std::size_t i = 0; i < orig.size(); ++i) {
-      EXPECT_NEAR(rest[i].mean, orig[i].mean, 1e-4);
-      EXPECT_NEAR(rest[i].stddev, orig[i].stddev, 1e-4);
-      EXPECT_EQ(rest[i].samples, orig[i].samples);
-      EXPECT_NEAR(rest[i].epoch_start_s, orig[i].epoch_start_s, 1e-3);
+  ASSERT_EQ(back->keys().size(), orig->keys().size());
+  for (const auto& key : {kUdp, kRtt}) {
+    ASSERT_EQ(orig->history(key).size(), 3u) << key.network;
+  }
+  for (const auto& key : orig->keys()) {
+    const auto want = orig->history(key);
+    const auto got = back->history(key);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].samples, want[i].samples);
+      EXPECT_EQ(got[i].epoch_start_s, want[i].epoch_start_s);
     }
   }
 }
 
 TEST(Persist, RestoredTableKeepsAccumulating) {
-  const auto t = populated_table();
-  std::stringstream ss;
-  save_zone_table(ss, t);
-  auto back = load_zone_table(ss);
+  persist_fixture fx;
+  const auto back = fx.round_trip(*fx.populated());
 
-  // New samples after a restart roll into fresh epochs with alerts intact.
-  // The v2 format carries the interrupted open epoch (20 samples at
+  // The format carries the interrupted open epoch (20 samples at
   // t = 300..319), so the first post-restart sample first freezes THAT
   // epoch, then accumulates into a new one: +2 frozen estimates, not +1.
-  const estimate_key a{{3, -2}, "NetB", trace::metric::udp_throughput_bps};
-  const std::size_t before = back.history(a).size();
+  const std::size_t before = back->history(kUdp).size();
+  const geo::lat_lon pos = fx.grid.center(kUdp.zone);
   for (int i = 0; i < 10; ++i) {
-    back.add_sample(a, 1000.0 + i, 1e6, 100.0);
+    back->report(testing::make_record(1000.0 + i, "NetB", pos,
+                                      trace::probe_kind::udp_burst, 1e6));
   }
-  back.add_sample(a, 1200.0, 1e6, 100.0);  // rollover
-  const auto hist = back.history(a);
+  back->report(testing::make_record(1200.0, "NetB", pos,
+                                    trace::probe_kind::udp_burst, 1e6));
+  const auto hist = back->history(kUdp);
   ASSERT_EQ(hist.size(), before + 2);
   // The recovered epoch publishes all 20 pre-restart samples.
   EXPECT_EQ(hist[before].samples, 20u);
-  EXPECT_NEAR(hist[before].epoch_start_s, 300.0, 1e-9);
+  EXPECT_EQ(hist[before].epoch_start_s, 300.0);
 }
 
 TEST(Persist, V2RoundTripIsBitExact) {
-  const auto t = populated_table();
-  std::stringstream ss;
-  save_zone_table(ss, t);
-  const auto back = load_zone_table(ss);
+  persist_fixture fx;
+  const auto orig = fx.populated();
+  std::string bytes;
+  const auto back = fx.round_trip(*orig, &bytes);
 
   // %.17g printing makes the text round trip lossless: every double
   // compares equal bit-for-bit, and re-saving reproduces the same bytes.
-  for (const auto& key : t.keys()) {
-    const auto orig = t.history(key);
-    const auto rest = back.history(key);
-    ASSERT_EQ(rest.size(), orig.size());
-    for (std::size_t i = 0; i < orig.size(); ++i) {
-      EXPECT_EQ(rest[i].mean, orig[i].mean);
-      EXPECT_EQ(rest[i].stddev, orig[i].stddev);
-      EXPECT_EQ(rest[i].samples, orig[i].samples);
-      EXPECT_EQ(rest[i].epoch_start_s, orig[i].epoch_start_s);
+  for (const auto& key : orig->keys()) {
+    const auto want = orig->history(key);
+    const auto got = back->history(key);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].mean, want[i].mean);
+      EXPECT_EQ(got[i].stddev, want[i].stddev);
+      EXPECT_EQ(got[i].samples, want[i].samples);
+      EXPECT_EQ(got[i].epoch_start_s, want[i].epoch_start_s);
     }
   }
-  std::stringstream again;
-  save_zone_table(again, back);
-  EXPECT_EQ(again.str(), ss.str());
+  EXPECT_EQ(saved(*back), bytes);
 }
 
 TEST(Persist, OpenEpochStateRoundTrips) {
-  const auto t = populated_table();
-  const estimate_key a{{3, -2}, "NetB", trace::metric::udp_throughput_bps};
-  const auto open = t.open_state(a);
+  persist_fixture fx;
+  const auto orig = fx.populated();
+  const auto open = orig->open_state(kUdp);
   ASSERT_TRUE(open.has_value());
   EXPECT_EQ(open->n, 20u);
 
-  std::stringstream ss;
-  save_zone_table(ss, t);
-  const auto back = load_zone_table(ss);
-  const auto restored = back.open_state(a);
+  const auto back = fx.round_trip(*orig);
+  const auto restored = back->open_state(kUdp);
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->open_start_s, open->open_start_s);
   EXPECT_EQ(restored->n, open->n);
@@ -107,55 +147,69 @@ TEST(Persist, OpenEpochStateRoundTrips) {
   EXPECT_EQ(restored->m2, open->m2);
 }
 
-TEST(Persist, LoadsLegacyV1Header) {
-  // Pre-v2 snapshots (EST lines only, fixed precision) must keep loading.
-  std::stringstream v1(
-      "WISCAPE-ZONETABLE v1\n"
-      "EST 3:-2 NetB udp_throughput 0.000 1000000.0 50000.0 20\n");
-  const auto back = load_zone_table(v1);
-  const estimate_key a{{3, -2}, "NetB", trace::metric::udp_throughput_bps};
-  const auto hist = back.history(a);
-  ASSERT_EQ(hist.size(), 1u);
-  EXPECT_EQ(hist[0].samples, 20u);
-  EXPECT_FALSE(back.open_state(a).has_value());
-}
-
 TEST(Persist, DeterministicFileOrder) {
-  const auto t = populated_table();
-  std::stringstream s1, s2;
-  save_zone_table(s1, t);
-  save_zone_table(s2, t);
-  EXPECT_EQ(s1.str(), s2.str());
+  persist_fixture fx;
+  const auto a = fx.populated();
+  const auto b = fx.populated();
+  const std::string bytes = saved(*a);
+  EXPECT_EQ(saved(*a), bytes);
+  EXPECT_EQ(saved(*b), bytes);
+  // Sorted by zone, then network, then metric: kRtt's zone 0:5 sorts
+  // before kUdp's 3:-2.
+  EXPECT_LT(bytes.find("EST 0:5 NetC"), bytes.find("EST 3:-2 NetB"));
 }
 
 TEST(Persist, EmptyTableRoundTrip) {
-  zone_table t;
-  std::stringstream ss;
-  save_zone_table(ss, t);
-  const auto back = load_zone_table(ss);
-  EXPECT_TRUE(back.keys().empty());
+  persist_fixture fx;
+  const auto empty = fx.fresh();
+  std::string bytes;
+  const auto back = fx.round_trip(*empty, &bytes);
+  EXPECT_EQ(bytes, "WISCAPE-COORD v2\nALERTSEQ 0\n");
+  EXPECT_TRUE(back->keys().empty());
 }
 
 TEST(Persist, RejectsMalformedInput) {
-  std::stringstream bad_header("nope\n");
-  EXPECT_THROW(load_zone_table(bad_header), std::invalid_argument);
-  std::stringstream bad_line("WISCAPE-ZONETABLE v1\nEST garbage\n");
-  EXPECT_THROW(load_zone_table(bad_line), std::invalid_argument);
-  std::stringstream bad_zone(
-      "WISCAPE-ZONETABLE v1\nEST nozone NetB rtt 0 1 1 1\n");
-  EXPECT_THROW(load_zone_table(bad_zone), std::invalid_argument);
-  std::stringstream bad_metric(
-      "WISCAPE-ZONETABLE v1\nEST 1:1 NetB warp 0 1 1 1\n");
-  EXPECT_THROW(load_zone_table(bad_metric), std::invalid_argument);
-  EXPECT_THROW(load_zone_table_file("/nonexistent/x"), std::runtime_error);
+  persist_fixture fx;
+  for (const char* bad : {
+           "nope\n",                                             // header
+           "WISCAPE-COORD v2\nEST garbage\n",                    // line
+           "WISCAPE-COORD v2\nEST nozone NetB rtt 0 1 1 1\n",    // zone
+           "WISCAPE-COORD v2\nEST 1:1 NetB warp 0 1 1 1\n",      // metric
+           "WISCAPE-COORD v2\nOPEN 1:1 NetB rtt 0 x 1 1\n",      // open line
+           "WISCAPE-COORD v2\nWHAT 1\n",                         // tag
+       }) {
+    std::stringstream ss(bad);
+    const auto c = fx.fresh();
+    EXPECT_THROW(load_state(ss, *c), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Persist, RejectsRetiredZoneTableFormat) {
+  // The bare zone-table snapshot ("WISCAPE-ZONETABLE v1/v2") is retired:
+  // coordinator state has one format, and the loader says so by header.
+  persist_fixture fx;
+  for (const char* header :
+       {"WISCAPE-ZONETABLE v1\n", "WISCAPE-ZONETABLE v2\n"}) {
+    std::stringstream ss(std::string(header) +
+                         "EST 3:-2 NetB udp_throughput 0 1000000 50000 20\n");
+    const auto c = fx.fresh();
+    EXPECT_THROW(load_state(ss, *c), std::invalid_argument) << header;
+  }
 }
 
 TEST(Persist, FileRoundTrip) {
-  const auto t = populated_table();
-  const std::string path = ::testing::TempDir() + "/wiscape_table.txt";
-  save_zone_table_file(path, t);
-  const auto back = load_zone_table_file(path);
-  EXPECT_EQ(back.keys().size(), t.keys().size());
+  persist_fixture fx;
+  const auto orig = fx.populated();
+  const std::string path = ::testing::TempDir() + "/wiscape_state.txt";
+  {
+    std::ofstream os(path);
+    save_state(os, *orig);
+  }
+  std::ifstream is(path);
+  const auto back = fx.fresh();
+  load_state(is, *back);
+  EXPECT_EQ(back->keys().size(), orig->keys().size());
+  EXPECT_EQ(saved(*back), saved(*orig));
 }
 
 TEST(MetricFromString, RoundTripsAllMetrics) {

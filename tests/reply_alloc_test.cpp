@@ -1,6 +1,6 @@
 // Allocation regression gate for the zero-allocation reply path (ISSUE 8).
 //
-// Asserts that coordinator_server::handle_into() performs ZERO heap
+// Asserts that coordinator_server::handle() performs ZERO heap
 // allocations per request in steady state -- a reused reply_buffer, warmed
 // scratch vectors, short (SSO) operator names -- across the hot request
 // types: QUERY (EST reply), QUERYB, REPORT (ACK), REPORTB (ACK <n>), the
@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/coordinator.h"
 #include "core/sharded_coordinator.h"
 #include "geo/zone_grid.h"
 #include "proto/messages.h"
@@ -68,7 +67,7 @@ using namespace wiscape;
 int main() {
   const auto dep = testing::tiny_deployment();
   const geo::zone_grid grid(dep.proj(), 250.0);
-  core::coordinator coord(grid, dep.names(), core::coordinator_config{}, 5);
+  core::sharded_coordinator coord(grid, dep.names(), testing::sequential(), 5);
   proto::coordinator_server server(coord);
   const geo::lat_lon here = cellnet::anchors::madison;
 
@@ -87,7 +86,7 @@ int main() {
     rep.record = testing::make_record(static_cast<double>(i), "NetB", here,
                                       trace::probe_kind::udp_burst, 1.0e6);
     out.clear();
-    server.handle_into(proto::encode(rep), out);
+    server.handle(proto::request_view::detect(proto::encode(rep)), out);
     CHECK(out.view() == "ACK");
   }
 
@@ -135,16 +134,17 @@ int main() {
     rrep.record = testing::make_record(static_cast<double>(i), "NetB", here,
                                        trace::probe_kind::udp_burst, 1.0e6);
     out.clear();
-    lserver.handle_into(proto::encode(rrep), out);
+    lserver.handle(proto::request_view::detect(proto::encode(rrep)), out);
     CHECK(out.view() == "ACK");
   }
   const std::string epoch_pull_v3 = proto::v3::encode_epoch_pull_frame({0, 16});
   out.clear();
-  lserver.handle_into(epoch_pull_v3, out);
+  lserver.handle(proto::request_view::detect(epoch_pull_v3), out);
   CHECK(proto::v3::peek_header(out.view())->op == proto::v3::opcode::epochb);
   const std::string epochb_apply_v3(out.view());
   out.clear();
-  fserver.handle_into(epochb_apply_v3, out);  // first apply: real inserts
+  // First apply: real inserts.
+  fserver.handle(proto::request_view::detect(epochb_apply_v3), out);
   CHECK(proto::v3::peek_header(out.view())->op == proto::v3::opcode::ack);
 
   // The binary v3 twins of every hot frame, plus a malformed binary frame
@@ -158,17 +158,17 @@ int main() {
   // Sanity: the query really serves an estimate (a NONE corpus would pass
   // the allocation gate while proving nothing about EST encoding).
   out.clear();
-  server.handle_into(query_line, out);
+  server.handle(proto::request_view::detect(query_line), out);
   CHECK(out.view().substr(0, 4) == "EST ");
   out.clear();
-  server.handle_into(bogus_line, out);
+  server.handle(proto::request_view::detect(bogus_line), out);
   CHECK(out.view().substr(0, 15) == "ERR unsupported");
   out.clear();
-  server.handle_into(query_frame_v3, out);
+  server.handle(proto::request_view::detect(query_frame_v3), out);
   CHECK(proto::v3::peek_header(out.view()).has_value());
   CHECK(proto::v3::peek_header(out.view())->op == proto::v3::opcode::est);
   out.clear();
-  server.handle_into(bad_frame_v3, out);
+  server.handle(proto::request_view::detect(bad_frame_v3), out);
   CHECK(proto::v3::peek_header(out.view())->op == proto::v3::opcode::err);
 
   struct test_case {
@@ -197,13 +197,13 @@ int main() {
     // Warm: reply_buffer capacity, scratch vectors, interner entries.
     for (int i = 0; i < 3; ++i) {
       out.clear();
-      tc.srv->handle_into(*tc.line, out);
+      tc.srv->handle(proto::request_view::detect(*tc.line), out);
     }
     g_allocs.store(0);
     g_count_allocs.store(true);
     for (int i = 0; i < kIters; ++i) {
       out.clear();
-      tc.srv->handle_into(*tc.line, out);
+      tc.srv->handle(proto::request_view::detect(*tc.line), out);
     }
     g_count_allocs.store(false);
     const std::uint64_t allocs = g_allocs.load();

@@ -1,16 +1,39 @@
-// Shared fixtures for the WiScape test suite: a small, fast deployment and
-// synthetic series generators.
+// Shared fixtures for the WiScape test suite: a small, fast deployment,
+// synthetic series generators, and shorthands for serving requests.
 #pragma once
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "cellnet/deployment.h"
 #include "cellnet/presets.h"
+#include "core/sharded_coordinator.h"
+#include "proto/server.h"
 #include "stats/rng.h"
 #include "stats/time_series.h"
 #include "trace/dataset.h"
 
 namespace wiscape::testing {
+
+/// A 1-shard synchronous sharded_config: the coordinator it configures
+/// reproduces a sequential core::coordinator with `cfg` draw for draw.
+inline core::sharded_config sequential(core::coordinator_config cfg = {}) {
+  core::sharded_config c;
+  c.coordinator = cfg;
+  c.num_shards = 1;
+  c.synchronous = true;
+  return c;
+}
+
+/// Serves one request -- framing detected from its first byte -- and
+/// returns the reply.
+inline std::string serve(proto::coordinator_server& server,
+                         std::string_view req) {
+  proto::reply_buffer rb;
+  server.handle(proto::request_view::detect(req), rb);
+  return std::string(rb.view());
+}
 
 /// A compact two-operator deployment (4 x 4 km) that builds in microseconds
 /// and has full coverage in its core.

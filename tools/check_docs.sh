@@ -14,6 +14,10 @@
 #  4. Every binary v3 opcode enumerator in src/proto/wire_v3.h must have a
 #     table row in docs/WIRE_PROTOCOL.md section 8 -- opcode values are
 #     append-only wire surface with the same lookup obligation.
+#  5. docs/RUNBOOK.md's knob table and the TCP front end's configuration
+#     agree both ways: every field of net::server_config (and, as
+#     `limits.<field>`, of net::session_limits) has a row, and every row
+#     names a field that exists -- a deleted knob cannot leave a stale row.
 #
 # Usage: tools/check_docs.sh [repo-root]   (default: script's parent dir)
 set -eu
@@ -70,6 +74,50 @@ ops="$(sed -n '/enum class opcode/,/^};/p' src/proto/wire_v3.h |
 for o in $ops; do
   if ! grep -qF "| \`$o\` |" docs/WIRE_PROTOCOL.md; then
     echo "FAIL: v3 opcode '$o' (src/proto/wire_v3.h) has no table row in docs/WIRE_PROTOCOL.md"
+    fail=1
+  fi
+done
+
+echo "== docs/RUNBOOK.md knob table matches net::server_config / session_limits =="
+# Member names of `struct <name> { ... };` in a header: comments stripped,
+# then the last word before the initializer of every line ending in ';'.
+fields() {
+  awk -v s="$2" '
+    $0 ~ "^struct " s " [{]" { inside = 1; next }
+    inside && /^};/ { inside = 0 }
+    inside {
+      sub(/\/\/.*/, "")
+      if ($0 !~ /;[ \t]*$/) next
+      sub(/[ \t]*(=.*|[{].*)?;[ \t]*$/, "")
+      n = split($0, w, /[ \t]+/)
+      print w[n]
+    }' "$1"
+}
+cfg_fields="$(fields src/net/server.h server_config)"
+limit_fields="$(fields src/net/session.h session_limits)"
+[ -n "$cfg_fields" ] && [ -n "$limit_fields" ] ||
+  { echo "FAIL: no config fields found in src/net/server.h / session.h"; exit 1; }
+knobs="$(for f in $cfg_fields; do
+  if [ "$f" = limits ]; then
+    for l in $limit_fields; do echo "limits.$l"; done
+  else
+    echo "$f"
+  fi
+done)"
+# Every backticked name in the first column of the knob table's rows.
+rows="$(sed -n '/^### Configuration reference (`net::server_config`)/,/^## /p' \
+  docs/RUNBOOK.md | grep '^| `' | cut -d'|' -f2 | grep -o '`[^`]*`' |
+  tr -d '`')"
+[ -n "$rows" ] || { echo "FAIL: no knob rows found in docs/RUNBOOK.md"; exit 1; }
+for k in $knobs; do
+  if ! printf '%s\n' "$rows" | grep -qxF "$k"; then
+    echo "FAIL: config field '$k' has no row in docs/RUNBOOK.md's knob table"
+    fail=1
+  fi
+done
+for r in $rows; do
+  if ! printf '%s\n' "$knobs" | grep -qxF "$r"; then
+    echo "FAIL: docs/RUNBOOK.md knob row '$r' names no net::server_config / session_limits field"
     fail=1
   fi
 done

@@ -18,7 +18,10 @@ asan_dir="${1:-build-asan}"
 ubsan_dir="${2:-build-ubsan}"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
-parser_filter='WireParse*.*:ProtoCodec*.*:ProtoServer*.*:Fuzz/*.*:Csv.*'
+# The parser stage also runs the server's merged dispatch: the pinned
+# golden corpus (both framings through the one request skeleton) and the
+# grouped-REPORT micro-batch, whose line cursor walks a raw block.
+parser_filter='WireParse*.*:ProtoCodec*.*:ProtoServer*.*:Fuzz/*.*:Csv.*:UnifiedHandle.*:NetSession.ReportGroup*'
 # The binary v3 codec reads length-prefixed fields straight out of raw
 # byte spans (memcpy'd fixed-width ints, u16-prefixed strings) -- the
 # truncation/patched-length corpus walks every cut point, so any decoder
