@@ -1,6 +1,7 @@
 #include "core/durable_log.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -193,19 +194,23 @@ std::uint64_t durable_log::recover(durable_state& state) {
 void durable_log::append(std::uint64_t seq, const estimate_key& key,
                          const epoch_estimate& est) {
   std::lock_guard lock(mu_);
-  // Open lazily per append: the cost is dwarfed by the flush the
-  // durability contract requires anyway, and it keeps checkpoint()'s WAL
-  // reset trivially safe (no stream handle to invalidate).
-  const bool fresh = [&] {
-    std::ifstream probe(wal_path_);
-    return !probe || probe.peek() == std::ifstream::traits_type::eof();
-  }();
-  std::ofstream os(wal_path_, std::ios::app);
-  if (!os) throw std::runtime_error("cannot open WAL: " + wal_path_);
-  if (fresh) wal_write_header(os);
-  wal_append_record(os, seq, key, est);
-  os.flush();
-  if (!os) throw std::runtime_error("WAL append failed: " + wal_path_);
+  // The stream stays open across appends: opening and closing the file per
+  // record cost several times the write and flush themselves, and appends
+  // run from drain workers holding their shard's lock. The flush below
+  // still hands every record to the OS before append returns.
+  if (!wal_.is_open()) {
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(wal_path_, ec);
+    wal_.open(wal_path_, std::ios::app);
+    if (!wal_) throw std::runtime_error("cannot open WAL: " + wal_path_);
+    if (ec || size == 0) wal_write_header(wal_);
+  }
+  wal_append_record(wal_, seq, key, est);
+  wal_.flush();
+  if (!wal_) {
+    wal_.close();  // reopen on the next append rather than write past a fault
+    throw std::runtime_error("WAL append failed: " + wal_path_);
+  }
 }
 
 void durable_log::checkpoint(const durable_state& state) {
@@ -234,9 +239,15 @@ void durable_log::checkpoint(const durable_state& state) {
     metrics().snapshot_failures.inc();
     throw std::runtime_error("snapshot rename failed: " + snapshot_path_);
   }
-  // The snapshot now covers everything; reset the WAL to just its header.
-  std::ofstream wal(wal_path_, std::ios::trunc);
-  if (wal) wal_write_header(wal);
+  // The snapshot now covers everything; reset the WAL to just its header
+  // and keep the reset stream open for the appends that follow.
+  wal_.close();
+  wal_.open(wal_path_, std::ios::trunc);
+  if (wal_) {
+    wal_write_header(wal_);
+    wal_.flush();
+  }
+  if (!wal_) wal_.close();  // the next append reopens (and re-heads) it
   metrics().snapshots.inc();
 }
 

@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <iosfwd>
 #include <mutex>
@@ -76,7 +77,10 @@ class durable_log {
 
   /// Appends one frozen epoch to the WAL and flushes it to the OS. Safe
   /// from any thread (the leader's epoch tap calls this from drain
-  /// workers). Propagates the wal_append fault's throw.
+  /// workers). The WAL stream opens on the first append (writing the
+  /// header only when the file is new or empty) and stays open; a failed
+  /// write closes it, so the next append reopens. Propagates the
+  /// wal_append fault's throw.
   void append(std::uint64_t seq, const estimate_key& key,
               const epoch_estimate& est);
 
@@ -84,7 +88,8 @@ class durable_log {
   /// producers first (the state walk is the same one save_state does). On
   /// failure -- including an injected snapshot_torn fault, which leaves a
   /// truncated temp file behind -- throws without touching the previous
-  /// snapshot or the WAL.
+  /// snapshot or the WAL. A successful checkpoint closes the WAL stream,
+  /// resets the file to its header and reopens it.
   void checkpoint(const durable_state& state);
 
   const std::string& snapshot_path() const noexcept { return snapshot_path_; }
@@ -95,6 +100,7 @@ class durable_log {
   std::string snapshot_path_;
   std::string wal_path_;
   std::mutex mu_;  // serialises append vs checkpoint on the wal file
+  std::ofstream wal_;  // the open WAL stream (guarded by mu_)
 };
 
 }  // namespace wiscape::core

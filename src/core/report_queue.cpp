@@ -60,6 +60,7 @@ report_queue::report_queue(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) {
     throw std::invalid_argument("report_queue capacity must be > 0");
   }
+  slots_.resize(capacity_);
   (void)metrics();  // force registration before any concurrent use
 }
 
@@ -71,30 +72,51 @@ void report_queue::publish_metrics_locked() {
   }
 }
 
-bool report_queue::push(trace::measurement_record rec) {
-  if (push_fault_fails()) {
-    metrics().rejected.inc();
-    return false;
-  }
-  std::unique_lock lock(mu_);
-  if (items_.size() >= capacity_ && !closed_) {
-    metrics().blocked.inc();  // backpressure: producer is about to wait
-    not_full_.wait(lock,
-                   [this] { return items_.size() < capacity_ || closed_; });
-  }
-  if (closed_) {
-    lock.unlock();
-    metrics().rejected.inc();
-    return false;
-  }
-  items_.push_back(std::move(rec));
+void report_queue::put_locked(const trace::measurement_record& rec) {
+  std::size_t tail = head_ + count_;
+  if (tail >= capacity_) tail -= capacity_;
+  slots_[tail] = rec;  // copy-assign: the slot's strings keep their storage
+  ++count_;
   // Hot path: stage the metric updates as plain writes under the lock we
   // already hold; pop_batch/close publish them to the registry in batches.
   ++enq_count_;
-  high_water_ = std::max(high_water_, static_cast<std::int64_t>(items_.size()));
+  high_water_ = std::max(high_water_, static_cast<std::int64_t>(count_));
+}
+
+template <class Next>
+std::size_t report_queue::push_some(std::size_t n, Next next) {
+  // The fault fires once per call, before anything is enqueued: a refused
+  // batch is all-or-nothing, so wire-level accounting (one ERR covers the
+  // whole REPORTB frame) never half-ingests a frame.
+  if (push_fault_fails()) {
+    metrics().rejected.inc(n);
+    return 0;
+  }
+  std::unique_lock lock(mu_);
+  std::size_t i = 0;
+  for (;;) {
+    while (!closed_ && i < n && count_ < capacity_) {
+      put_locked(next());
+      ++i;
+    }
+    depth_.store(count_, std::memory_order_relaxed);
+    if (closed_ || i == n) break;
+    // Queue full: wake consumers so they can make room, then wait
+    // (backpressure).
+    metrics().blocked.inc();
+    not_empty_.notify_all();
+    not_full_.wait(lock, [this] { return count_ < capacity_ || closed_; });
+  }
   lock.unlock();
-  not_empty_.notify_one();
-  return true;
+  if (i > 0) not_empty_.notify_all();
+  if (i < n) metrics().rejected.inc(n - i);
+  return i;
+}
+
+bool report_queue::push(trace::measurement_record rec) {
+  return push_some(1, [&]() -> const trace::measurement_record& {
+           return rec;
+         }) == 1;
 }
 
 bool report_queue::try_push(trace::measurement_record rec) {
@@ -103,14 +125,13 @@ bool report_queue::try_push(trace::measurement_record rec) {
     return false;
   }
   std::unique_lock lock(mu_);
-  if (closed_ || items_.size() >= capacity_) {
+  if (closed_ || count_ >= capacity_) {
     lock.unlock();
     metrics().rejected.inc();
     return false;
   }
-  items_.push_back(std::move(rec));
-  ++enq_count_;
-  high_water_ = std::max(high_water_, static_cast<std::int64_t>(items_.size()));
+  put_locked(rec);
+  depth_.store(count_, std::memory_order_relaxed);
   lock.unlock();
   not_empty_.notify_one();
   return true;
@@ -119,51 +140,39 @@ bool report_queue::try_push(trace::measurement_record rec) {
 std::size_t report_queue::push_batch(
     std::span<const trace::measurement_record> recs) {
   if (recs.empty()) return 0;
-  // The fault fires once per batch, before anything is enqueued: a refused
-  // batch is all-or-nothing, so wire-level accounting (one ERR covers the
-  // whole REPORTB frame) never half-ingests a frame.
-  if (push_fault_fails()) {
-    metrics().rejected.inc(recs.size());
-    return 0;
-  }
-  std::unique_lock lock(mu_);
   std::size_t i = 0;
-  for (;;) {
-    while (!closed_ && i < recs.size() && items_.size() < capacity_) {
-      items_.push_back(recs[i]);
-      ++i;
-      ++enq_count_;
-    }
-    high_water_ =
-        std::max(high_water_, static_cast<std::int64_t>(items_.size()));
-    if (closed_ || i == recs.size()) break;
-    // Queue full mid-batch: wake consumers so they can make room, then wait
-    // like push() does (backpressure).
-    metrics().blocked.inc();
-    not_empty_.notify_all();
-    not_full_.wait(lock,
-                   [this] { return items_.size() < capacity_ || closed_; });
-  }
-  const std::size_t pushed = i;
-  const std::size_t dropped = recs.size() - i;
-  lock.unlock();
-  if (pushed > 0) not_empty_.notify_all();
-  if (dropped > 0) metrics().rejected.inc(dropped);
-  return pushed;
+  return push_some(recs.size(),
+                   [&]() -> const trace::measurement_record& {
+                     return recs[i++];
+                   });
+}
+
+std::size_t report_queue::push_routed(
+    std::span<const trace::measurement_record> recs,
+    std::span<const std::uint32_t> route, std::uint32_t lane) {
+  const auto n = static_cast<std::size_t>(
+      std::count(route.begin(), route.end(), lane));
+  if (n == 0) return 0;
+  std::size_t i = 0;
+  return push_some(n, [&]() -> const trace::measurement_record& {
+    while (route[i] != lane) ++i;
+    return recs[i++];
+  });
 }
 
 std::size_t report_queue::pop_batch(std::vector<trace::measurement_record>& out,
                                     std::size_t max_batch) {
   std::unique_lock lock(mu_);
-  not_empty_.wait(lock, [this] { return !items_.empty() || closed_; });
-  std::size_t n = 0;
-  while (n < max_batch && !items_.empty()) {
-    out.push_back(std::move(items_.front()));
-    items_.pop_front();
-    ++n;
+  not_empty_.wait(lock, [this] { return count_ > 0 || closed_; });
+  const std::size_t n = std::min(max_batch, count_);
+  for (std::size_t k = 0; k < n; ++k) {
+    out.push_back(std::move(slots_[head_]));
+    if (++head_ == capacity_) head_ = 0;
   }
+  count_ -= n;
+  depth_.store(count_, std::memory_order_relaxed);
   publish_metrics_locked();
-  const bool emptied = items_.empty();
+  const bool emptied = count_ == 0;
   lock.unlock();
   if (n > 0) {
     not_full_.notify_all();
@@ -186,17 +195,12 @@ void report_queue::close() {
 
 void report_queue::wait_empty() const {
   std::unique_lock lock(mu_);
-  emptied_.wait(lock, [this] { return items_.empty() || closed_; });
+  emptied_.wait(lock, [this] { return count_ == 0 || closed_; });
 }
 
 bool report_queue::closed() const {
   std::lock_guard lock(mu_);
   return closed_;
-}
-
-std::size_t report_queue::size() const {
-  std::lock_guard lock(mu_);
-  return items_.size();
 }
 
 }  // namespace wiscape::core

@@ -8,6 +8,13 @@
 // flooded faster than it can ingest slows its transports down instead of
 // growing without limit.
 //
+// Storage: a ring of `capacity` record slots, allocated once at
+// construction (capacity x sizeof(measurement_record), 168 B on LP64 --
+// about 688 KiB at the default 4096). A push copy-assigns into a free slot,
+// so the slot's strings reuse their storage (operator names ride SSO) and
+// the producer allocates nothing; pop_batch moves records out. Head and
+// count live under the queue mutex.
+//
 // Ordering guarantee: items from one producer thread are dequeued in the
 // order that producer pushed them (global FIFO over all successfully
 // completed pushes; per-producer order is a corollary). With a single
@@ -20,13 +27,14 @@
 // already holds; totals are published to the obs registry in batches -- at
 // every pop_batch() and at close() -- so the hot path adds no atomic RMW.
 // Snapshots taken mid-run may therefore lag by up to one drain batch; they
-// are exact whenever the queue is quiescent (drained or closed).
+// are exact whenever the queue is quiescent (drained or closed). size() is
+// lock-free: it reads a relaxed mirror of the count, stored under the lock.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -63,6 +71,16 @@ class report_queue {
   /// must count the shortfall against their drop accounting either way.
   std::size_t push_batch(std::span<const trace::measurement_record> recs);
 
+  /// push_batch over the records of `recs` whose `route[i] == lane` (the
+  /// spans are parallel): a router's per-destination hand-off, copying each
+  /// record once from the caller's buffer into a slot with no regrouping.
+  /// Same blocking, contiguity, fault and drop semantics as push_batch, over
+  /// the routed subsequence. Returns the number of routed records enqueued;
+  /// 0 without locking (or firing the fault) when none is routed here.
+  std::size_t push_routed(std::span<const trace::measurement_record> recs,
+                          std::span<const std::uint32_t> route,
+                          std::uint32_t lane);
+
   /// Pops up to `max_batch` records into `out` (appended), blocking until at
   /// least one record is available or the queue is closed. Returns the
   /// number popped; 0 only after close() with the queue fully drained.
@@ -78,25 +96,39 @@ class report_queue {
 
   std::size_t capacity() const noexcept { return capacity_; }
   bool closed() const;
-  std::size_t size() const;
+  /// Records enqueued, not yet popped. Lock-free (may lag a concurrent
+  /// push or pop by that one operation).
+  std::size_t size() const noexcept {
+    return depth_.load(std::memory_order_relaxed);
+  }
 
  private:
   /// Pushes any un-published enqueue/high-water totals into the obs
   /// registry. Must be called with mu_ held; cheap when nothing is pending.
   void publish_metrics_locked();
+  /// Shared body of push/push_batch/push_routed: enqueues `n` records
+  /// drawn in order from `next()`, gulping through backpressure.
+  template <class Next>
+  std::size_t push_some(std::size_t n, Next next);
+  /// Copies `rec` into the slot after the tail. Call with mu_ held and a
+  /// free slot.
+  void put_locked(const trace::measurement_record& rec);
 
   const std::size_t capacity_;
   mutable std::mutex mu_;
   mutable std::condition_variable not_full_;
   mutable std::condition_variable not_empty_;
   mutable std::condition_variable emptied_;
-  std::deque<trace::measurement_record> items_;
+  std::vector<trace::measurement_record> slots_;  ///< the ring, capacity_ long
+  std::size_t head_ = 0;   ///< slot of the oldest record; guarded by mu_
+  std::size_t count_ = 0;  ///< records in the ring; guarded by mu_
+  std::atomic<std::size_t> depth_{0};  ///< count_'s lock-free mirror
   bool closed_ = false;
   // Metric staging, guarded by mu_: counted per push with plain arithmetic,
   // flushed to the (atomic) obs registry counters at batch boundaries.
   std::uint64_t enq_count_ = 0;      ///< successful pushes, lifetime total
   std::uint64_t enq_published_ = 0;  ///< portion already in the registry
-  std::int64_t high_water_ = 0;      ///< deepest items_.size() seen
+  std::int64_t high_water_ = 0;      ///< deepest count_ seen
 };
 
 }  // namespace wiscape::core

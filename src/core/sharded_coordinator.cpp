@@ -1,6 +1,7 @@
 #include "core/sharded_coordinator.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -59,19 +60,27 @@ void apply_record(coordinator& coord, const trace::measurement_record& rec) {
 struct sharded_coordinator::shard {
   shard(geo::zone_grid grid, std::vector<std::string> networks,
         const coordinator_config& cfg, std::uint64_t seed,
-        std::size_t queue_capacity, std::size_t index)
+        std::optional<std::size_t> queue_capacity, std::size_t index)
       : coord(std::move(grid), std::move(networks), cfg, seed),
-        queue(queue_capacity),
         routed_metric(obs::registry::global().get_counter(
             shard_metric(index, obs::names::kShardRoutedSuffix))),
         drained_metric(obs::registry::global().get_counter(
-            shard_metric(index, obs::names::kShardDrainedSuffix))) {}
+            shard_metric(index, obs::names::kShardDrainedSuffix))) {
+    if (queue_capacity) queue.emplace(*queue_capacity);
+  }
 
   mutable std::mutex mu;  // guards coord and the drain stats below
   coordinator coord;
-  report_queue queue;
+  // Asynchronous mode only: a synchronous shard never enqueues, so it does
+  // not pay for the queue's ring storage.
+  std::optional<report_queue> queue;
   std::atomic<std::uint64_t> enqueued{0};
   std::atomic<std::uint64_t> applied{0};
+  // Request threads blocked on (or about to take) `mu`. A busy drain worker
+  // re-locks `mu` a few microseconds after releasing it, well before a
+  // woken waiter gets scheduled, so without this a saturated drain starves
+  // the event loop's check-ins for many batches.
+  std::atomic<std::uint32_t> requests_waiting{0};
   std::condition_variable drained_cv;  // signalled after each applied batch
   std::uint64_t tasks = 0;
   std::uint64_t drain_batches = 0;
@@ -83,6 +92,15 @@ struct sharded_coordinator::shard {
   // fed deltas of the pre-existing `enqueued` atomic at drain and flush
   // boundaries instead of one fetch-add per report.
   std::uint64_t routed_published = 0;
+
+  /// Takes `mu` for a request (wire-facing) thread, ahead of the drain
+  /// worker's next batch.
+  std::unique_lock<std::mutex> lock_for_request() {
+    requests_waiting.fetch_add(1, std::memory_order_relaxed);
+    std::unique_lock lock(mu);
+    requests_waiting.fetch_sub(1, std::memory_order_relaxed);
+    return lock;
+  }
 
   /// Publishes any un-counted routed reports (enqueued - routed_published)
   /// into the process-wide and per-shard routed counters. Call with mu held.
@@ -113,7 +131,10 @@ sharded_coordinator::sharded_coordinator(geo::zone_grid grid,
   for (std::size_t i = 0; i < cfg.num_shards; ++i) {
     const std::uint64_t shard_seed = i == 0 ? seed : seeder.fork(i).seed();
     shards_.push_back(std::make_unique<shard>(
-        grid, networks, cfg.coordinator, shard_seed, cfg.queue_capacity, i));
+        grid, networks, cfg.coordinator, shard_seed,
+        cfg.synchronous ? std::nullopt
+                        : std::optional<std::size_t>(cfg.queue_capacity),
+        i));
     // All shards sequence their alerts through the shared ring -- one total
     // order of alert sequence numbers across the whole coordinator.
     shards_.back()->coord.redirect_alert_sink(ring_);
@@ -150,7 +171,7 @@ std::optional<measurement_task> sharded_coordinator::checkin(
   shard& sh = owner_of(grid_.zone_of(pos));
   std::optional<measurement_task> task;
   {
-    std::lock_guard lock(sh.mu);
+    const auto lock = sh.lock_for_request();
     task = sh.coord.checkin(pos, time_s, network_index,
                             active_clients_in_zone, client_id);
     if (task) ++sh.tasks;
@@ -177,7 +198,7 @@ bool sharded_coordinator::report(const trace::measurement_record& rec) {
     sh.drained_metric.inc();
     return true;
   }
-  if (!sh.queue.push(rec)) {
+  if (!sh.queue->push(rec)) {
     metrics().dropped.inc();
     return false;
   }
@@ -196,19 +217,28 @@ std::size_t sharded_coordinator::report_batch(
     metrics().dropped.inc(recs.size());
     return 0;
   }
-  // Route once, then touch each shard once. The per-shard copies are the
-  // price of one lock acquisition per shard instead of one per record; the
-  // single-shard case routes straight through without regrouping.
+  // Route once, then touch each shard once: every record is copied exactly
+  // once, from the caller's buffer into its shard (a ring slot, or the
+  // table inline when synchronous), under one lock per shard per chunk.
+  // The routes live on the stack, so a frame costs no heap allocation; a
+  // chunk covers any frame of up to kRouteChunk records whole.
   std::size_t accepted = 0;
   if (shards_.size() == 1) {
-    accepted = ingest_group(*shards_[0], recs);
+    accepted = ingest_group(*shards_[0], recs, {}, 0);
   } else {
-    std::vector<std::vector<trace::measurement_record>> groups(shards_.size());
-    for (const auto& rec : recs) {
-      groups[shard_of(grid_.zone_of(rec.pos))].push_back(rec);
-    }
-    for (std::size_t s = 0; s < groups.size(); ++s) {
-      if (!groups[s].empty()) accepted += ingest_group(*shards_[s], groups[s]);
+    std::array<std::uint32_t, kRouteChunk> route;
+    for (std::size_t off = 0; off < recs.size(); off += kRouteChunk) {
+      const auto chunk =
+          recs.subspan(off, std::min(kRouteChunk, recs.size() - off));
+      for (std::size_t i = 0; i < chunk.size(); ++i) {
+        route[i] = static_cast<std::uint32_t>(
+            shard_of(grid_.zone_of(chunk[i].pos)));
+      }
+      const std::span<const std::uint32_t> lanes(route.data(), chunk.size());
+      for (std::size_t s = 0; s < shards_.size(); ++s) {
+        accepted += ingest_group(*shards_[s], chunk, lanes,
+                                 static_cast<std::uint32_t>(s));
+      }
     }
   }
   reports_received_.fetch_add(accepted, std::memory_order_relaxed);
@@ -217,21 +247,29 @@ std::size_t sharded_coordinator::report_batch(
 }
 
 std::size_t sharded_coordinator::ingest_group(
-    shard& sh, std::span<const trace::measurement_record> recs) {
-  if (cfg_.synchronous) {
-    {
-      std::lock_guard lock(sh.mu);
-      for (const auto& rec : recs) apply_record(sh.coord, rec);
-      sh.enqueued.fetch_add(recs.size(), std::memory_order_relaxed);
-      sh.applied.fetch_add(recs.size(), std::memory_order_relaxed);
-      sh.publish_routed_locked(metrics().routed);
-    }
-    sh.drained_metric.inc(recs.size());
-    return recs.size();
+    shard& sh, std::span<const trace::measurement_record> recs,
+    std::span<const std::uint32_t> route, std::uint32_t lane) {
+  if (!cfg_.synchronous) {
+    const std::size_t pushed = route.empty()
+                                   ? sh.queue->push_batch(recs)
+                                   : sh.queue->push_routed(recs, route, lane);
+    sh.enqueued.fetch_add(pushed, std::memory_order_relaxed);
+    return pushed;
   }
-  const std::size_t pushed = sh.queue.push_batch(recs);
-  sh.enqueued.fetch_add(pushed, std::memory_order_relaxed);
-  return pushed;
+  std::size_t n = 0;
+  {
+    std::lock_guard lock(sh.mu);
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      if (!route.empty() && route[i] != lane) continue;
+      apply_record(sh.coord, recs[i]);
+      ++n;
+    }
+    sh.enqueued.fetch_add(n, std::memory_order_relaxed);
+    sh.applied.fetch_add(n, std::memory_order_relaxed);
+    sh.publish_routed_locked(metrics().routed);
+  }
+  sh.drained_metric.inc(n);
+  return n;
 }
 
 void sharded_coordinator::drain_loop(shard& sh) {
@@ -239,7 +277,7 @@ void sharded_coordinator::drain_loop(shard& sh) {
   batch.reserve(cfg_.drain_batch);
   for (;;) {
     batch.clear();
-    if (sh.queue.pop_batch(batch, cfg_.drain_batch) == 0) return;
+    if (sh.queue->pop_batch(batch, cfg_.drain_batch) == 0) return;
     // Scenario seam: a slow-consumer stressor stalls the drain worker here
     // (outside the shard lock), backing the queue up against producers.
     // Timing-only -- the batch is always applied; which records exist and
@@ -253,6 +291,11 @@ void sharded_coordinator::drain_loop(shard& sh) {
 
 void sharded_coordinator::apply_batch(
     shard& sh, const std::vector<trace::measurement_record>& batch) {
+  // Step aside for request threads waiting on the shard: each waits at most
+  // the batch in progress when it arrived.
+  while (sh.requests_waiting.load(std::memory_order_relaxed) != 0) {
+    std::this_thread::yield();
+  }
   const auto t0 = std::chrono::steady_clock::now();
   {
     std::lock_guard lock(sh.mu);
@@ -294,7 +337,9 @@ void sharded_coordinator::flush() {
 
 void sharded_coordinator::stop() {
   stopped_.store(true, std::memory_order_relaxed);
-  for (auto& sh : shards_) sh->queue.close();
+  for (auto& sh : shards_) {
+    if (sh->queue) sh->queue->close();
+  }
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -409,7 +454,7 @@ void sharded_coordinator::set_epoch_tap(epoch_tap* tap) {
 bool sharded_coordinator::apply_epoch(const estimate_key& key,
                                       const epoch_estimate& e) {
   shard& sh = owner_of(key.zone);
-  std::lock_guard lock(sh.mu);
+  const auto lock = sh.lock_for_request();
   return sh.coord.merge_estimate(key, e);
 }
 
@@ -426,16 +471,18 @@ std::uint64_t sharded_coordinator::reports_ingested() const noexcept {
   return total;
 }
 
-std::size_t sharded_coordinator::queue_depth() const {
+std::size_t sharded_coordinator::queue_depth() const noexcept {
   std::size_t total = 0;
-  for (const auto& sh : shards_) total += sh->queue.size();
+  for (const auto& sh : shards_) {
+    if (sh->queue) total += sh->queue->size();
+  }
   return total;
 }
 
 double sharded_coordinator::ingest_saturation() const noexcept {
   if (cfg_.synchronous || cfg_.queue_capacity == 0) return 0.0;
   std::size_t worst = 0;
-  for (const auto& sh : shards_) worst = std::max(worst, sh->queue.size());
+  for (const auto& sh : shards_) worst = std::max(worst, sh->queue->size());
   return std::min(1.0, static_cast<double>(worst) /
                            static_cast<double>(cfg_.queue_capacity));
 }
@@ -443,7 +490,7 @@ double sharded_coordinator::ingest_saturation() const noexcept {
 shard_stats sharded_coordinator::stats_of(std::size_t shard_index) const {
   const shard& sh = *shards_.at(shard_index);
   shard_stats out;
-  out.queue_depth = sh.queue.size();
+  out.queue_depth = sh.queue ? sh.queue->size() : 0;
   std::lock_guard lock(sh.mu);
   out.reports_ingested = sh.applied.load(std::memory_order_relaxed);
   out.tasks_issued = sh.tasks;

@@ -28,7 +28,9 @@
 // Thread safety: every public member is safe to call from any thread;
 // checkin()/report() are the concurrent hot paths, the read-side
 // aggregators take each shard's lock in turn (flush() first for a
-// consistent view).
+// consistent view). checkin() and apply_epoch() are served ahead of the
+// drain worker: it yields the shard lock to them between batches, so a
+// saturated drain delays a check-in by at most the batch in progress.
 //
 // Observability: the pipeline feeds the `core.sharded.*` metrics plus the
 // per-shard `core.sharded.shard<i>.{routed,drained}` family (src/obs/
@@ -112,10 +114,13 @@ class sharded_coordinator : public durable_state {
   /// Batched ingestion: routes every record to its owning shard, then makes
   /// one enqueue (one queue-lock acquisition, one counter delta) per shard
   /// touched instead of one per record -- the wire-facing amortisation the
-  /// REPORTB command rides on. Per-producer FIFO order is preserved within
-  /// each shard, so determinism guarantees are unchanged. Returns the
-  /// number of records accepted: recs.size() normally, fewer (possibly 0)
-  /// only when the pipeline has been stopped.
+  /// REPORTB command rides on. Each record is copied once, straight into
+  /// its shard's queue slot, and the call allocates nothing (a frame longer
+  /// than 1024 records takes one enqueue per shard per 1024-record chunk).
+  /// Per-producer FIFO order is preserved within each shard, so determinism
+  /// guarantees are unchanged. Returns the number of records accepted:
+  /// recs.size() normally, fewer (possibly 0) only when the pipeline has
+  /// been stopped.
   std::size_t report_batch(std::span<const trace::measurement_record> recs);
 
   /// Blocks until every report enqueued before the call has been applied.
@@ -225,8 +230,8 @@ class sharded_coordinator : public durable_state {
   std::uint64_t tasks_issued() const noexcept {
     return tasks_issued_.load(std::memory_order_relaxed);
   }
-  /// Reports enqueued but not yet applied, summed over shards.
-  std::size_t queue_depth() const;
+  /// Reports enqueued but not yet applied, summed over shards. Lock-free.
+  std::size_t queue_depth() const noexcept;
   shard_stats stats_of(std::size_t shard) const;
 
   /// How full the ingest queues are, as the *worst* shard's depth /
@@ -239,11 +244,17 @@ class sharded_coordinator : public durable_state {
  private:
   struct shard;
 
+  /// Records report_batch routes per stack-held route array (4 KiB).
+  static constexpr std::size_t kRouteChunk = 1024;
+
   shard& owner_of(const geo::zone_id& zone) noexcept;
-  /// Feeds one shard's slice of a batch (apply inline when synchronous,
-  /// else one push_batch). Returns records accepted.
+  /// Feeds one shard its slice of a batch: the records whose `route` entry
+  /// is `lane`, or all of `recs` when `route` is empty (apply inline when
+  /// synchronous, else one enqueue). Returns records accepted.
   std::size_t ingest_group(shard& sh,
-                           std::span<const trace::measurement_record> recs);
+                           std::span<const trace::measurement_record> recs,
+                           std::span<const std::uint32_t> route,
+                           std::uint32_t lane);
   void drain_loop(shard& sh);
   /// Applies a batch to the shard's coordinator under its lock.
   void apply_batch(shard& sh,

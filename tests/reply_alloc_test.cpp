@@ -9,6 +9,12 @@
 // bench_apply_path, but kept in its own tiny executable: a global
 // operator new override must not ride along inside the gtest binary (it
 // would fight the sanitizer builds' interceptors).
+//
+// A second gate covers the served shape: REPORTB frames of 64 records
+// (text and v3) into a 2-shard *asynchronous* coordinator, where the
+// calling thread routes each frame into the shards' queues. Only the
+// calling thread's allocations count (the flag is thread-local); the drain
+// workers' table growth is theirs, not the hand-off's.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -28,11 +34,11 @@
 
 // ---- allocation-counting hook ---------------------------------------------
 namespace {
-std::atomic<bool> g_count_allocs{false};
+thread_local bool g_count_allocs = false;
 std::atomic<std::uint64_t> g_allocs{0};
 
 void* counted_alloc(std::size_t n) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
+  if (g_count_allocs) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(n ? n : 1)) return p;
@@ -200,17 +206,69 @@ int main() {
       tc.srv->handle(proto::request_view::detect(*tc.line), out);
     }
     g_allocs.store(0);
-    g_count_allocs.store(true);
+    g_count_allocs = true;
     for (int i = 0; i < kIters; ++i) {
       out.clear();
       tc.srv->handle(proto::request_view::detect(*tc.line), out);
     }
-    g_count_allocs.store(false);
+    g_count_allocs = false;
     const std::uint64_t allocs = g_allocs.load();
     std::printf("  %-15s %3d requests, %llu heap allocations\n", tc.name,
                 kIters, static_cast<unsigned long long>(allocs));
     if (allocs != 0) ++failures;
   }
+  CHECK(failures == 0);
+
+  // ---- served shape: 2 shards, asynchronous ------------------------------
+  core::sharded_config served_cfg;
+  served_cfg.num_shards = 2;
+  served_cfg.synchronous = false;
+  core::sharded_coordinator acoord(grid, dep.names(), served_cfg, 8);
+  proto::coordinator_server aserver(acoord);
+  // 64 records over 8 zones ~330 m apart, so every frame touches both
+  // shards and exercises the per-shard routing.
+  std::vector<trace::measurement_record> frame_recs;
+  for (int i = 0; i < 64; ++i) {
+    const geo::lat_lon pos{here.lat_deg + 0.003 * (i % 8), here.lon_deg};
+    frame_recs.push_back(testing::make_record(
+        100.0 + i, i % 2 == 0 ? "NetB" : "NetC", pos,
+        trace::probe_kind::udp_burst, 1.0e6));
+    frame_recs.back().client_id = 7;
+  }
+  const std::string served_text = proto::encode_report_batch(frame_recs);
+  const std::string served_v3 =
+      proto::v3::encode_report_batch_frame(frame_recs);
+  out.clear();
+  aserver.handle(proto::request_view::detect(served_text), out);
+  CHECK(out.view() == "ACK 64");
+  acoord.flush();
+  CHECK(acoord.stats_of(0).reports_ingested > 0);
+  CHECK(acoord.stats_of(1).reports_ingested > 0);
+
+  const test_case served[] = {
+      {"2-shard REPORTB", &served_text, &aserver},
+      {"2-shard v3 REPORTB", &served_v3, &aserver},
+  };
+  for (const auto& tc : served) {
+    for (int i = 0; i < 3; ++i) {
+      out.clear();
+      tc.srv->handle(proto::request_view::detect(*tc.line), out);
+    }
+    g_allocs.store(0);
+    g_count_allocs = true;
+    for (int i = 0; i < kIters; ++i) {
+      out.clear();
+      tc.srv->handle(proto::request_view::detect(*tc.line), out);
+    }
+    g_count_allocs = false;
+    const std::uint64_t allocs = g_allocs.load();
+    std::printf("  %-18s %3d frames of 64, %llu heap allocations\n", tc.name,
+                kIters, static_cast<unsigned long long>(allocs));
+    if (allocs != 0) ++failures;
+  }
+  acoord.flush();
+  CHECK(acoord.reports_ingested() == acoord.reports_received());
+  CHECK(acoord.reports_received() == 64u * (1 + 2 * (3 + kIters)));
   CHECK(failures == 0);
   std::printf("reply_alloc_test: all request types allocation-free\n");
   return 0;

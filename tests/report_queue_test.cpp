@@ -4,6 +4,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <deque>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -217,6 +221,180 @@ TEST(ReportQueue, WaitEmptyReturnsOnceConsumed) {
   q.wait_empty();
   EXPECT_EQ(q.size(), 0u);
   consumer.join();
+}
+
+TEST(ReportQueue, PushRoutedEnqueuesOnlyItsLaneInOrder) {
+  report_queue q(8);
+  std::vector<trace::measurement_record> recs;
+  const std::vector<std::uint32_t> route{1, 0, 1, 1, 0, 2};
+  for (std::size_t i = 0; i < route.size(); ++i) {
+    recs.push_back(tagged(route[i], static_cast<double>(i)));
+  }
+  EXPECT_EQ(q.push_routed(recs, route, 3), 0u);  // no record for lane 3
+  EXPECT_EQ(q.push_routed(recs, route, 1), 3u);
+  EXPECT_EQ(q.push_routed(recs, route, 0), 2u);
+  std::vector<trace::measurement_record> out;
+  EXPECT_EQ(q.pop_batch(out, 100), 5u);
+  const std::vector<double> want{0, 2, 3, 1, 4};
+  ASSERT_EQ(out.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(out[i].time_s, want[i]);
+  }
+}
+
+// Property test of the ring's index arithmetic: seeded random interleavings
+// of every push flavour against pop_batch of random sizes, checked step by
+// step against a std::deque reference model over many full wraps. Batches
+// that do not fit (including ones larger than the capacity) need a
+// concurrent consumer; it pops a chosen number of records in random gulps,
+// so the expected queue contents stay exact after every step.
+TEST(ReportQueue, RingWrapsMatchADequeModel) {
+  struct rec_view {
+    std::uint64_t client;
+    double seq;
+    std::string network;
+    std::string device;
+    bool operator==(const rec_view&) const = default;
+  };
+  const auto view = [](const trace::measurement_record& r) {
+    return rec_view{r.client_id, r.time_s, r.network, r.device};
+  };
+  for (const std::size_t cap : {1u, 2u, 3u, 7u, 64u}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("capacity " + std::to_string(cap) + " seed " +
+                   std::to_string(seed));
+      std::mt19937_64 rng(seed * 1000 + cap);
+      const auto uniform = [&](std::size_t lo, std::size_t hi) {
+        return std::uniform_int_distribution<std::size_t>(lo, hi)(rng);
+      };
+      report_queue q(cap);
+      std::deque<rec_view> model;
+      double next_seq = 0;
+      // Short names ride SSO; every fifth is long enough to live on the
+      // heap, so slots are reused across both string representations.
+      const auto make = [&] {
+        trace::measurement_record r = tagged(seed, next_seq);
+        const auto n = static_cast<std::uint64_t>(next_seq++);
+        r.network = n % 5 == 0 ? "a-long-operator-name-" + std::to_string(n)
+                               : "Net" + std::to_string(n % 7);
+        r.device = n % 3 == 0 ? "phone" : "laptop";
+        return r;
+      };
+      const auto expect_front = [&](const std::vector<trace::measurement_record>&
+                                        got) {
+        ASSERT_LE(got.size(), model.size());
+        for (const auto& r : got) {
+          ASSERT_EQ(view(r), model.front());
+          model.pop_front();
+        }
+      };
+      // Runs `push` (which enqueues `n` records already appended to the
+      // model) while a consumer pops enough for the rest to fit.
+      const auto push_with_consumer = [&](std::size_t n, auto push) {
+        const std::size_t total = model.size();
+        const std::size_t target = total - uniform(0, cap);  // n > free
+        const std::uint64_t consumer_seed = rng();
+        std::vector<trace::measurement_record> spilled;
+        std::thread consumer([&] {
+          std::mt19937_64 crng(consumer_seed);
+          while (spilled.size() < target) {
+            const std::size_t want =
+                std::uniform_int_distribution<std::size_t>(
+                    1, target - spilled.size())(crng);
+            q.pop_batch(spilled, want);
+          }
+        });
+        EXPECT_EQ(push(), n);
+        consumer.join();
+        expect_front(spilled);
+      };
+
+      std::uint64_t pushed = 0;
+      std::size_t steps = 0;
+      while (pushed < 12 * cap || steps < 400) {
+        ++steps;
+        const std::size_t free = cap - model.size();
+        switch (uniform(0, 4)) {
+          case 0:  // blocking push, only when it cannot block
+            if (free == 0) break;
+            {
+              auto r = make();
+              model.push_back(view(r));
+              ASSERT_TRUE(q.push(std::move(r)));
+              ++pushed;
+            }
+            break;
+          case 1: {
+            auto r = make();
+            const rec_view v = view(r);
+            const bool ok = q.try_push(std::move(r));
+            ASSERT_EQ(ok, free > 0);
+            if (ok) {
+              model.push_back(v);
+              ++pushed;
+            }
+            break;
+          }
+          case 2: {  // push_batch, sometimes larger than the capacity
+            std::vector<trace::measurement_record> batch(uniform(1, 2 * cap + 1));
+            for (auto& r : batch) {
+              r = make();
+              model.push_back(view(r));
+            }
+            pushed += batch.size();
+            if (batch.size() <= free) {
+              ASSERT_EQ(q.push_batch(batch), batch.size());
+            } else {
+              push_with_consumer(batch.size(),
+                                 [&] { return q.push_batch(batch); });
+            }
+            break;
+          }
+          case 3: {  // push_routed: only lane 1 of a mixed batch lands
+            std::vector<trace::measurement_record> batch(uniform(1, 2 * cap + 1));
+            std::vector<std::uint32_t> route(batch.size());
+            std::size_t mine = 0;
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+              batch[i] = make();
+              route[i] = static_cast<std::uint32_t>(uniform(0, 2));
+              if (route[i] == 1) {
+                model.push_back(view(batch[i]));
+                ++mine;
+              }
+            }
+            pushed += mine;
+            if (mine <= free) {
+              ASSERT_EQ(q.push_routed(batch, route, 1), mine);
+            } else {
+              push_with_consumer(
+                  mine, [&] { return q.push_routed(batch, route, 1); });
+            }
+            break;
+          }
+          case 4: {  // pop a random amount, only when it cannot block
+            if (model.empty()) break;
+            std::vector<trace::measurement_record> out;
+            const std::size_t want = uniform(1, 2 * cap);
+            ASSERT_EQ(q.pop_batch(out, want), std::min(want, model.size()));
+            expect_front(out);
+            break;
+          }
+        }
+        ASSERT_EQ(q.size(), model.size());
+      }
+      // Drain the remainder: the tail must match too.
+      std::vector<trace::measurement_record> out;
+      while (!model.empty()) {
+        const std::size_t before = model.size();
+        out.clear();
+        ASSERT_GT(q.pop_batch(out, cap), 0u);
+        expect_front(out);
+        ASSERT_EQ(model.size(), before - out.size());
+      }
+      EXPECT_EQ(q.size(), 0u);
+      EXPECT_GE(pushed, 10 * cap);
+    }
+  }
 }
 
 }  // namespace

@@ -235,5 +235,131 @@ TEST(DurableLog, TornCheckpointPreservesSnapshotAndWal) {
   EXPECT_EQ(b.history(k).size(), a.history(k).size());
 }
 
+// ---- the open WAL stream ----------------------------------------------------
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  return buf.str();
+}
+
+// The WAL bytes a fresh header plus `recs` would render to.
+std::string rendered(const std::vector<wal_record>& recs) {
+  std::ostringstream os;
+  core::wal_write_header(os);
+  for (const wal_record& r : recs) {
+    core::wal_append_record(os, r.seq, r.key, r.est);
+  }
+  return os.str();
+}
+
+std::vector<std::uint64_t> replayed_seqs(const std::string& path) {
+  std::ifstream is(path);
+  std::vector<std::uint64_t> seqs;
+  core::wal_replay(is, [&](std::uint64_t seq, const core::estimate_key&,
+                           const core::epoch_estimate&) {
+    seqs.push_back(seq);
+  });
+  return seqs;
+}
+
+TEST(DurableLog, EveryAppendIsVisibleToAnIndependentReaderOnReturn) {
+  pair_fixture fx;
+  core::durable_log dl(fx.dir);
+  const std::vector<wal_record> recs = corpus_records();
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    dl.append(recs[i].seq, recs[i].key, recs[i].est);
+    // The stream stays open, yet each record has reached the OS whole.
+    const std::vector<wal_record> so_far(recs.begin(),
+                                         recs.begin() + i + 1);
+    EXPECT_EQ(slurp(dl.wal_path()), rendered(so_far));
+  }
+}
+
+TEST(DurableLog, ReopeningAnExistingWalAppendsWithoutASecondHeader) {
+  pair_fixture fx;
+  const std::vector<wal_record> recs = corpus_records();
+  {
+    core::durable_log first(fx.dir);
+    for (std::size_t i = 0; i < 2; ++i) {
+      first.append(recs[i].seq, recs[i].key, recs[i].est);
+    }
+  }
+  core::durable_log second(fx.dir);
+  for (std::size_t i = 2; i < recs.size(); ++i) {
+    second.append(recs[i].seq, recs[i].key, recs[i].est);
+  }
+  EXPECT_EQ(slurp(second.wal_path()), rendered(recs));
+
+  core::sharded_coordinator back = fx.make_coord();
+  EXPECT_EQ(second.recover(back), recs.back().seq);
+  for (const wal_record& r : recs) {
+    const auto h = back.history(r.key);
+    EXPECT_TRUE(std::any_of(h.begin(), h.end(), [&](const auto& e) {
+      return e.epoch_start_s == r.est.epoch_start_s && e.mean == r.est.mean;
+    }));
+  }
+}
+
+TEST(DurableLog, CheckpointLeavesHeaderPlusLaterRecordsOnly) {
+  pair_fixture fx;
+  core::durable_log dl(fx.dir);
+  core::sharded_coordinator a = fx.make_coord();
+  const std::vector<wal_record> recs = corpus_records();
+  for (std::size_t i = 0; i < 3; ++i) {
+    a.restore_estimate(recs[i].key, recs[i].est);
+    dl.append(recs[i].seq, recs[i].key, recs[i].est);
+  }
+  dl.checkpoint(a);
+  EXPECT_EQ(slurp(dl.wal_path()), rendered({}));
+  for (std::size_t i = 3; i < recs.size(); ++i) {
+    dl.append(recs[i].seq, recs[i].key, recs[i].est);
+  }
+  EXPECT_EQ(slurp(dl.wal_path()),
+            rendered({recs.begin() + 3, recs.end()}));
+}
+
+TEST(DurableLog, GoodAppendAfterAnInjectedFaultRecoversBoth) {
+  pair_fixture fx;
+  core::durable_log dl(fx.dir);
+  const std::vector<wal_record> recs = corpus_records();
+  dl.append(recs[0].seq, recs[0].key, recs[0].est);
+  {
+    scenario::injector inj(1);
+    inj.add_rule({core::fault::site::wal_append, 0, 1, 1.0,
+                  core::fault::action::fail});
+    scenario::arm_scope armed(inj);
+    EXPECT_THROW(dl.append(recs[1].seq, recs[1].key, recs[1].est),
+                 std::runtime_error);
+  }
+  dl.append(recs[2].seq, recs[2].key, recs[2].est);
+  EXPECT_EQ(replayed_seqs(dl.wal_path()),
+            (std::vector<std::uint64_t>{recs[0].seq, recs[2].seq}));
+
+  core::sharded_coordinator back = fx.make_coord();
+  EXPECT_EQ(dl.recover(back), recs[2].seq);
+  EXPECT_EQ(back.history(recs[0].key).size(), 1u);
+  EXPECT_EQ(back.history(recs[2].key).size(), 1u);
+}
+
+TEST(DurableLog, FailedWriteClosesTheStreamAndTheNextAppendReopens) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "needs /dev/full to make a write fail";
+  }
+  pair_fixture fx;
+  core::durable_log dl(fx.dir);
+  const std::vector<wal_record> recs = corpus_records();
+  // Every write to /dev/full fails with ENOSPC: a full-disk WAL.
+  std::filesystem::create_symlink("/dev/full", dl.wal_path());
+  EXPECT_THROW(dl.append(recs[0].seq, recs[0].key, recs[0].est),
+               std::runtime_error);
+  // Space comes back as a fresh file; the next append must open it rather
+  // than keep writing through the failed stream.
+  std::filesystem::remove(dl.wal_path());
+  dl.append(recs[1].seq, recs[1].key, recs[1].est);
+  EXPECT_EQ(slurp(dl.wal_path()), rendered({recs[1]}));
+}
+
 }  // namespace
 }  // namespace wiscape

@@ -36,6 +36,11 @@ store_filter='ApplyPath*.*:NetworkInterner.*:ZoneTableStore.*'
 # ring's wraparound arithmetic, and the QUERY/QUERYB/ALERTS codecs under
 # query stress.
 query_filter='EstimateView.*:EstimateMirror.*:AlertRing.*:EstimateKnowledge.*'
+# The ingest hand-off: report_queue's ring of record slots (head/count
+# wraparound, routed pushes, slot reuse across string representations),
+# the sharded router feeding it, and the WAL stream drain workers append
+# through.
+ingest_filter='ReportQueue.*:ShardedCoordinator*.*:DurableLog.*:Wal.*'
 
 run_tree() {
   dir="$1"
@@ -63,6 +68,9 @@ run_tree() {
 
   echo "== query path / estimate view suites under $kind sanitizer =="
   "$dir"/tests/wiscape_tests --gtest_filter="$query_filter"
+
+  echo "== ingest queue / WAL suites under $kind sanitizer =="
+  "$dir"/tests/wiscape_tests --gtest_filter="$ingest_filter"
 }
 
 # halt_on_error fails the script on the first finding in both modes;

@@ -88,9 +88,11 @@ echo "== binary v3 framing under TSan =="
 # wire PROMOTE mid-storm while the second puller is still in flight --
 # the epoch tap, the sequenced log, and the apply/promote mutex are the
 # cross-thread seams this vets. The leader_kill scenario rerun drives
-# the same failover through the scenario engine's full stack.
+# the same failover through the scenario engine's full stack. The WAL's
+# durable_log keeps one stream open across appends from every drain
+# worker, so its suites ride along.
 echo "== replication under TSan =="
 "$build_dir"/tests/wiscape_tests \
-  --gtest_filter='ReplStress.PromotionMidStorm:Replication.*:EpochLog.*:ZoneTableMerge.*:TcpServer.FollowerCatchUp*:Scenario.LeaderKill*'
+  --gtest_filter='ReplStress.PromotionMidStorm:Replication.*:EpochLog.*:ZoneTableMerge.*:TcpServer.FollowerCatchUp*:Scenario.LeaderKill*:DurableLog.*:Wal.*'
 
 echo "TSan run clean."
