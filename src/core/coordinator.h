@@ -164,7 +164,7 @@ class coordinator {
     return table_.interner().try_id(network);
   }
 
-  // ---- restore surface (sharded_coordinator's durable_state) -------------
+  // ---- restore surface (sharded_coordinator's persistence surface) -------
   // Restore replays saved state, it does not observe new measurements: no
   // alerts are raised, no reports_accepted counters move.
 

@@ -1,14 +1,20 @@
 #include "core/durable_log.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "core/epoch_record.h"
 #include "core/fault_injection.h"
 #include "core/persist.h"
+#include "core/sharded_coordinator.h"
 #include "obs/names.h"
 #include "obs/registry.h"
 
@@ -16,7 +22,7 @@ namespace wiscape::core {
 
 namespace {
 
-constexpr char kWalHeader[] = "WISCAPE-WAL v1";
+constexpr std::string_view kWalHeader = "WISCAPE-WAL v2\n";
 
 struct wal_metrics {
   obs::counter& appends;
@@ -39,66 +45,60 @@ wal_metrics& metrics() {
   return m;
 }
 
-// FNV-1a over the record body: cheap, dependency-free, and plenty to tell
-// "record the writer finished" from "record the crash cut" -- the torn-tail
-// corpus in tests/wal_test.cpp cuts at every byte offset.
-std::uint32_t fnv1a32(std::string_view s) noexcept {
-  std::uint32_t h = 2166136261u;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 16777619u;
+/// Closes a POSIX file descriptor on scope exit. Callers fsync what they
+/// wrote, so close() has no write error left to report.
+struct fd_guard {
+  int fd;
+  explicit fd_guard(int f) noexcept : fd(f) {}
+  ~fd_guard() {
+    if (fd >= 0) ::close(fd);
   }
-  return h;
-}
+  fd_guard(const fd_guard&) = delete;
+  fd_guard& operator=(const fd_guard&) = delete;
+};
 
-geo::zone_id parse_zone(const std::string& s) {
-  const auto colon = s.find(':');
-  if (colon == std::string::npos) {
-    throw std::invalid_argument("bad zone id '" + s + "'");
+bool write_all(int fd, std::string_view bytes) noexcept {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
   }
-  return {std::stoi(s.substr(0, colon)), std::stoi(s.substr(colon + 1))};
-}
-
-/// Renders the checksummed part of a WAL record (no trailing checksum).
-std::string render_body(std::uint64_t seq, const estimate_key& key,
-                        const epoch_estimate& est) {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf), "W %llu %s %s %s %.17g %.17g %.17g %zu",
-                static_cast<unsigned long long>(seq),
-                geo::to_string(key.zone).c_str(), key.network.c_str(),
-                trace::to_string(key.metric).c_str(), est.epoch_start_s,
-                est.mean, est.stddev, est.samples);
-  return buf;
-}
-
-/// Parses one complete line (checksum already stripped and verified).
-/// Returns false on any malformation -- the caller treats that as a torn
-/// tail, never as fatal.
-bool parse_body(const std::string& body, std::uint64_t& seq,
-                estimate_key& key, epoch_estimate& est) {
-  std::istringstream ls(body);
-  std::string tag, zone_s, net, metric_s;
-  unsigned long long s = 0;
-  if (!(ls >> tag >> s >> zone_s >> net >> metric_s) || tag != "W") {
-    return false;
-  }
-  if (!(ls >> est.epoch_start_s >> est.mean >> est.stddev >> est.samples)) {
-    return false;
-  }
-  try {
-    key.zone = parse_zone(zone_s);
-    key.metric = trace::metric_from_string(metric_s);
-  } catch (const std::exception&) {
-    return false;
-  }
-  key.network = net;
-  seq = s;
   return true;
+}
+
+/// Decodes the WAL record at `in`'s cursor. False on any damage -- a cut
+/// mid-record, a length no record can have, bit rot, a record the writer
+/// never finished -- which ends the valid prefix. The length is checked
+/// against one record's maximum and the bytes present before it is used.
+bool read_record(byte_reader& in, epoch_record& rec) {
+  if (in.left() < 4) return false;
+  const std::size_t start = in.pos;
+  const std::size_t len = in.u32_raw();
+  if (len < min_epoch_record_bytes || len > max_epoch_record_bytes ||
+      in.left() < len + 4) {
+    return false;
+  }
+  const std::string_view framed = in.buf.substr(start, 4 + len);
+  in.pos += len;
+  if (in.u32_raw() != fnv1a32(framed)) return false;
+  byte_reader body{framed, 4};
+  try {
+    get_epoch_record(body, rec);
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+  return body.done();
+}
+
+[[noreturn]] void snapshot_failed(const std::string& what) {
+  metrics().snapshot_failures.inc();
+  throw std::runtime_error(what);
 }
 
 }  // namespace
 
-void wal_write_header(std::ostream& os) { os << kWalHeader << "\n"; }
+void wal_write_header(std::ostream& os) { os << kWalHeader; }
 
 void wal_append_record(std::ostream& os, std::uint64_t seq,
                        const estimate_key& key, const epoch_estimate& est) {
@@ -106,69 +106,45 @@ void wal_append_record(std::ostream& os, std::uint64_t seq,
     metrics().append_failures.inc();
     throw std::runtime_error("injected fault: WAL append refused");
   }
-  const std::string body = render_body(seq, key, est);
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), " C%08x\n", fnv1a32(body));
-  os << body << crc;
+  std::string rec(4, '\0');  // length prefix, patched once the record is in
+  put_epoch_record(rec, epoch_record::of(seq, key, est));
+  const auto len = static_cast<std::uint32_t>(rec.size() - 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    rec[i] = static_cast<char>(len >> (8 * i));
+  }
+  put_u32(rec, fnv1a32(rec));
+  os.write(rec.data(), static_cast<std::streamsize>(rec.size()));
   metrics().appends.inc();
 }
 
 std::uint64_t wal_replay(
-    std::istream& is,
+    std::istream& is, std::uint64_t fence,
     const std::function<void(std::uint64_t, const estimate_key&,
                              const epoch_estimate&)>& apply) {
-  // Slurp the stream: a WAL is bounded by the last checkpoint, and whole-
-  // buffer scanning lets a missing final newline (the classic torn tail)
-  // be distinguished from a complete final record.
+  // Slurp the stream: a WAL is bounded by the last checkpoint, and a
+  // whole-buffer scan checks each record's length against the bytes
+  // actually present before touching it.
   std::ostringstream buf;
   buf << is.rdbuf();
-  const std::string all = buf.str();
+  const std::string_view all = buf.view();
+  if (all.empty()) return 0;
+  if (!all.starts_with(kWalHeader)) {
+    metrics().truncated.inc();  // even the header is damaged
+    return 0;
+  }
+  byte_reader in{all, kWalHeader.size()};
+  epoch_record rec;
   std::uint64_t last_seq = 0;
-  bool torn = false;
-  std::size_t pos = 0;
-  bool saw_header = false;
-  while (pos < all.size()) {
-    const std::size_t nl = all.find('\n', pos);
-    if (nl == std::string::npos) {
-      torn = true;  // trailing bytes without a newline: the cut record
+  while (!in.done()) {
+    if (!read_record(in, rec)) {
+      metrics().truncated.inc();
       break;
     }
-    const std::string line = all.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (!saw_header) {
-      if (line != kWalHeader) {
-        torn = true;  // even the header is damaged: nothing to replay
-        break;
-      }
-      saw_header = true;
-      continue;
-    }
-    if (line.empty()) continue;
-    // Split off and verify the checksum; any mismatch (cut mid-record,
-    // bit rot, a record the writer never finished) ends the valid prefix.
-    const std::size_t cpos = line.rfind(" C");
-    if (cpos == std::string::npos || line.size() - cpos != 10) {
-      torn = true;
-      break;
-    }
-    const std::string body = line.substr(0, cpos);
-    const unsigned long expect = std::stoul(line.substr(cpos + 2), nullptr, 16);
-    if (fnv1a32(body) != static_cast<std::uint32_t>(expect)) {
-      torn = true;
-      break;
-    }
-    std::uint64_t seq = 0;
-    estimate_key key;
-    epoch_estimate est;
-    if (!parse_body(body, seq, key, est)) {
-      torn = true;
-      break;
-    }
-    apply(seq, key, est);
-    last_seq = seq;
+    if (rec.seq <= fence) continue;
+    apply(rec.seq, rec.key(), rec.estimate());
+    last_seq = rec.seq;
     metrics().replayed.inc();
   }
-  if (torn) metrics().truncated.inc();
   return last_seq;
 }
 
@@ -177,23 +153,28 @@ durable_log::durable_log(std::string dir)
       snapshot_path_(dir_ + "/snapshot"),
       wal_path_(dir_ + "/wal") {}
 
-std::uint64_t durable_log::recover(durable_state& state) {
+std::uint64_t durable_log::recover(sharded_coordinator& coord) {
   std::lock_guard lock(mu_);
-  {
-    std::ifstream snap(snapshot_path_);
-    if (snap) load_state(snap, state);
+  std::uint64_t fence = 0;
+  if (std::ifstream snap{snapshot_path_, std::ios::binary}) {
+    fence = load_state(snap, coord);
   }
-  std::ifstream wal(wal_path_);
-  if (!wal) return 0;
-  return wal_replay(wal, [&](std::uint64_t, const estimate_key& key,
-                             const epoch_estimate& est) {
-    state.restore_estimate(key, est);
-  });
+  std::uint64_t replayed = 0;
+  if (std::ifstream wal{wal_path_, std::ios::binary}) {
+    replayed = wal_replay(wal, fence,
+                          [&](std::uint64_t, const estimate_key& key,
+                              const epoch_estimate& est) {
+                            coord.restore_estimate(key, est);
+                          });
+  }
+  last_seq_ = std::max({last_seq_, fence, replayed});
+  return std::max(fence, replayed);
 }
 
 void durable_log::append(std::uint64_t seq, const estimate_key& key,
                          const epoch_estimate& est) {
   std::lock_guard lock(mu_);
+  last_seq_ = std::max(last_seq_, seq);
   // The stream stays open across appends: opening and closing the file per
   // record cost several times the write and flush themselves, and appends
   // run from drain workers holding their shard's lock. The flush below
@@ -201,7 +182,7 @@ void durable_log::append(std::uint64_t seq, const estimate_key& key,
   if (!wal_.is_open()) {
     std::error_code ec;
     const auto size = std::filesystem::file_size(wal_path_, ec);
-    wal_.open(wal_path_, std::ios::app);
+    wal_.open(wal_path_, std::ios::app | std::ios::binary);
     if (!wal_) throw std::runtime_error("cannot open WAL: " + wal_path_);
     if (ec || size == 0) wal_write_header(wal_);
   }
@@ -213,36 +194,36 @@ void durable_log::append(std::uint64_t seq, const estimate_key& key,
   }
 }
 
-void durable_log::checkpoint(const durable_state& state) {
+void durable_log::checkpoint(const sharded_coordinator& coord) {
   std::lock_guard lock(mu_);
   const std::string tmp = snapshot_path_ + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) throw std::runtime_error("cannot open snapshot: " + tmp);
-    if (fault::fire(fault::site::snapshot_torn) == fault::action::fail) {
-      // Model the crash mid-checkpoint: leave a truncated temp file (a
-      // header with no body) and abort before the rename, so recovery
-      // still sees the previous snapshot + the intact WAL.
-      os << "WISCAPE-CO";
-      os.flush();
-      metrics().snapshot_failures.inc();
-      throw std::runtime_error("injected fault: snapshot checkpoint torn");
-    }
-    save_state(os, state);
-    os.flush();
-    if (!os) {
-      metrics().snapshot_failures.inc();
-      throw std::runtime_error("snapshot write failed: " + tmp);
-    }
+  const fd_guard fd(
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
+  if (fd.fd < 0) throw std::runtime_error("cannot open snapshot: " + tmp);
+  if (fault::fire(fault::site::snapshot_torn) == fault::action::fail) {
+    // Model the crash mid-checkpoint: leave a truncated temp file (part of
+    // the header, no body) and abort before the rename, so recovery still
+    // sees the previous snapshot + the intact WAL.
+    write_all(fd.fd, "WISCAPE-CO");
+    snapshot_failed("injected fault: snapshot checkpoint torn");
+  }
+  if (!write_all(fd.fd, encode_snapshot(coord, last_seq_)) ||
+      ::fsync(fd.fd) != 0) {
+    snapshot_failed("snapshot write failed: " + tmp);
   }
   if (std::rename(tmp.c_str(), snapshot_path_.c_str()) != 0) {
-    metrics().snapshot_failures.inc();
-    throw std::runtime_error("snapshot rename failed: " + snapshot_path_);
+    snapshot_failed("snapshot rename failed: " + snapshot_path_);
+  }
+  // The rename is durable only once the directory entry is. Until then the
+  // WAL stays as it is: the snapshot's fence makes the overlap harmless.
+  const fd_guard dir(::open(dir_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC));
+  if (dir.fd < 0 || ::fsync(dir.fd) != 0) {
+    snapshot_failed("snapshot directory fsync failed: " + dir_);
   }
   // The snapshot now covers everything; reset the WAL to just its header
   // and keep the reset stream open for the appends that follow.
   wal_.close();
-  wal_.open(wal_path_, std::ios::trunc);
+  wal_.open(wal_path_, std::ios::trunc | std::ios::binary);
   if (wal_) {
     wal_write_header(wal_);
     wal_.flush();

@@ -1,25 +1,24 @@
-// Crash-consistent WAL/snapshot persistence pair (ISSUE 10).
+// Crash-consistent WAL/snapshot persistence pair.
 //
 // core::persist's one-shot snapshots lose everything since the last save
-// when the process dies; the replication tentpole needs recovery that is
+// when the process dies; replicated serving needs recovery that is
 // O(epochs-since-snapshot), not O(lost-work). The pair:
 //
-//  * Snapshot -- the full durable_state rendered by core::persist
-//    (save_state), written to `<dir>/snapshot.tmp` and atomically renamed
-//    to `<dir>/snapshot`, so a crash mid-checkpoint always leaves the
-//    previous snapshot intact (the snapshot_torn fault site models exactly
-//    that crash).
-//  * WAL -- one line per frozen epoch appended (and flushed) as rollovers
-//    happen: `W <seq> <zone> <network> <metric> <epoch_start> <mean>
-//    <stddev> <n> C<fnv1a32>`, doubles at %.17g so replay is bit-exact.
-//    The trailing checksum covers the whole body, so a torn tail -- a cut
-//    at any byte, mid-record or mid-checksum -- is detected and recovery
-//    stops at the last complete record instead of crashing or replaying
-//    garbage (counted in core.persist.wal_truncated).
+//  * Snapshot -- core/persist.h's fenced snapshot, written to
+//    `<dir>/snapshot.tmp`, fsynced, renamed to `<dir>/snapshot`, and made
+//    durable by an fsync of `<dir>`. A crash mid-checkpoint leaves the
+//    previous snapshot intact (the snapshot_torn fault site models it).
+//  * WAL -- "WISCAPE-WAL v2\n", then one record per frozen epoch, appended
+//    and flushed to the OS (not fsynced) as rollovers happen:
+//    `u32 len | core::epoch_record | u32 fnv1a32(len | record)`. A torn
+//    tail -- a cut at any byte, bit rot, a length no record can have -- is
+//    detected, and recovery stops at the last complete record instead of
+//    crashing or replaying garbage (counted in core.persist.wal_truncated).
 //
-// Recovery = load snapshot (if any) + replay WAL records after it. A
-// checkpoint truncates the WAL only after the renamed snapshot is on disk,
-// so every epoch is always covered by at least one of the two files.
+// Recovery = load the snapshot, then replay WAL records above its fence.
+// The fence is the highest sequence the log has recovered or been asked to
+// append, so a crash between a checkpoint's rename and its WAL reset
+// leaves records the replay skips instead of applying twice.
 //
 // Only *frozen* epochs ride the WAL (they are the immutable replication
 // unit); open-epoch Welford accumulators are carried by snapshots alone,
@@ -39,11 +38,13 @@
 #include <mutex>
 #include <string>
 
-#include "core/durable_state.h"
+#include "core/zone_table.h"
 
 namespace wiscape::core {
 
-/// Writes the WAL header line ("WISCAPE-WAL v1").
+class sharded_coordinator;
+
+/// Writes the WAL header line ("WISCAPE-WAL v2").
 void wal_write_header(std::ostream& os);
 
 /// Appends one checksummed epoch record. Honours the `wal_append` fault
@@ -54,13 +55,14 @@ void wal_append_record(std::ostream& os, std::uint64_t seq,
                        const estimate_key& key, const epoch_estimate& est);
 
 /// Replays a WAL stream: `apply(seq, key, est)` per complete, checksum-
-/// valid record, in file order. Recovery is tolerant of torn tails -- a
-/// truncated or corrupt record (or a cut mid-line) stops replay at the
-/// last good record, counts core.persist.wal_truncated once, and returns
-/// normally; it never throws on damage and never applies a damaged
-/// record. Returns the highest sequence number applied (0 = none).
+/// valid record with seq > `fence`, in file order (records at or below the
+/// fence are already in the snapshot and are skipped). Recovery is tolerant
+/// of torn tails -- a truncated or corrupt record stops replay at the last
+/// good record, counts core.persist.wal_truncated once, and returns
+/// normally; it never throws on damage and never applies a damaged record.
+/// Returns the highest sequence number applied (0 = none).
 std::uint64_t wal_replay(
-    std::istream& is,
+    std::istream& is, std::uint64_t fence,
     const std::function<void(std::uint64_t, const estimate_key&,
                              const epoch_estimate&)>& apply);
 
@@ -69,28 +71,31 @@ class durable_log {
  public:
   explicit durable_log(std::string dir);
 
-  /// Loads the snapshot (if present) into `state`, then replays WAL
-  /// records through state.restore_estimate(). Returns the highest WAL
-  /// sequence applied (0 = none). Call on a freshly constructed
-  /// coordinator, before any ingest.
-  std::uint64_t recover(durable_state& state);
+  /// Loads the snapshot (if present) into `coord`, then replays the WAL
+  /// records above its fence through restore_estimate(). Returns the
+  /// highest sequence the recovered state covers: max(snapshot fence, last
+  /// replayed seq), 0 for an empty pair. Call on a freshly constructed
+  /// coordinator, before any ingest. Throws std::invalid_argument when the
+  /// snapshot itself is damaged.
+  std::uint64_t recover(sharded_coordinator& coord);
 
   /// Appends one frozen epoch to the WAL and flushes it to the OS. Safe
   /// from any thread (the leader's epoch tap calls this from drain
-  /// workers). The WAL stream opens on the first append (writing the
-  /// header only when the file is new or empty) and stays open; a failed
-  /// write closes it, so the next append reopens. Propagates the
-  /// wal_append fault's throw.
+  /// workers). `seq` raises the next checkpoint's fence even when the write
+  /// fails: the epoch is in the coordinator's state either way. The WAL
+  /// stream opens on the first append (writing the header only when the
+  /// file is new or empty) and stays open; a failed write closes it, so the
+  /// next append reopens. Propagates the wal_append fault's throw.
   void append(std::uint64_t seq, const estimate_key& key,
               const epoch_estimate& est);
 
-  /// Checkpoints `state`: snapshot.tmp -> rename -> WAL reset. Quiesce
-  /// producers first (the state walk is the same one save_state does). On
-  /// failure -- including an injected snapshot_torn fault, which leaves a
-  /// truncated temp file behind -- throws without touching the previous
-  /// snapshot or the WAL. A successful checkpoint closes the WAL stream,
-  /// resets the file to its header and reopens it.
-  void checkpoint(const durable_state& state);
+  /// Checkpoints `coord`: snapshot.tmp -> fsync -> rename -> fsync(dir) ->
+  /// WAL reset. Quiesce producers first. On failure -- including an
+  /// injected snapshot_torn fault, which leaves a truncated temp file
+  /// behind -- throws without touching the WAL (and, before the rename,
+  /// the previous snapshot). A successful checkpoint closes the WAL
+  /// stream, resets the file to its header and reopens it.
+  void checkpoint(const sharded_coordinator& coord);
 
   const std::string& snapshot_path() const noexcept { return snapshot_path_; }
   const std::string& wal_path() const noexcept { return wal_path_; }
@@ -101,6 +106,7 @@ class durable_log {
   std::string wal_path_;
   std::mutex mu_;  // serialises append vs checkpoint on the wal file
   std::ofstream wal_;  // the open WAL stream (guarded by mu_)
+  std::uint64_t last_seq_ = 0;  // highest seq recovered or appended (mu_)
 };
 
 }  // namespace wiscape::core

@@ -1,142 +1,139 @@
 #include "core/persist.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <istream>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <vector>
+#include <tuple>
 
+#include "core/epoch_record.h"
 #include "core/fault_injection.h"
+#include "core/sharded_coordinator.h"
 
 namespace wiscape::core {
 
 namespace {
 
-geo::zone_id parse_zone(const std::string& s) {
-  const auto colon = s.find(':');
-  if (colon == std::string::npos) {
-    throw std::invalid_argument("bad zone id '" + s + "'");
-  }
-  try {
-    return {std::stoi(s.substr(0, colon)), std::stoi(s.substr(colon + 1))};
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad zone id '" + s + "'");
-  }
+constexpr std::string_view kMagic = "WISCAPE-COORD v3\n";
+
+enum entry_tag : std::uint8_t { kEnd = 0, kFrozen = 1, kOpen = 2 };
+
+void put_open(std::string& out, const estimate_key& key,
+              const open_epoch_state& st) {
+  put_u8(out, kOpen);
+  put_i32(out, key.zone.ix);
+  put_i32(out, key.zone.iy);
+  put_u8(out, static_cast<std::uint8_t>(key.metric));
+  put_f64(out, st.open_start_s);
+  put_u64(out, st.n);
+  put_f64(out, st.mean);
+  put_f64(out, st.m2);
+  put_str16(out, key.network);
 }
 
-void sort_keys(std::vector<estimate_key>& keys) {
-  // Deterministic file order: by zone, then network, then metric.
-  std::sort(keys.begin(), keys.end(),
-            [](const estimate_key& a, const estimate_key& b) {
-              if (a.zone != b.zone) return a.zone < b.zone;
-              if (a.network != b.network) return a.network < b.network;
-              return static_cast<int>(a.metric) < static_cast<int>(b.metric);
-            });
+void get_open(byte_reader& in, estimate_key& key, open_epoch_state& st) {
+  in.need(4 + 4 + 1 + 4 * 8, "open fixed fields");
+  key.zone.ix = in.i32_raw();
+  key.zone.iy = in.i32_raw();
+  key.metric = metric_from_byte(in.u8_raw());
+  st.open_start_s = in.f64_raw();
+  st.n = in.u64_raw();
+  st.mean = in.f64_raw();
+  st.m2 = in.f64_raw();
+  key.network = in.str16("open.network");
 }
 
-void write_est(std::ostream& os, const estimate_key& key,
-               const epoch_estimate& est) {
-  char buf[320];
-  // %.17g round-trips IEEE doubles exactly, so load(save(t)) is bit-equal.
-  std::snprintf(buf, sizeof(buf), "EST %s %s %s %.17g %.17g %.17g %zu\n",
-                geo::to_string(key.zone).c_str(), key.network.c_str(),
-                trace::to_string(key.metric).c_str(), est.epoch_start_s,
-                est.mean, est.stddev, est.samples);
-  os << buf;
-}
-
-void write_open(std::ostream& os, const estimate_key& key,
-                const open_epoch_state& st) {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf), "OPEN %s %s %s %.17g %llu %.17g %.17g\n",
-                geo::to_string(key.zone).c_str(), key.network.c_str(),
-                trace::to_string(key.metric).c_str(), st.open_start_s,
-                static_cast<unsigned long long>(st.n), st.mean, st.m2);
-  os << buf;
-}
-
-/// Parses an EST or OPEN body line. Returns false if the line is neither
-/// (the caller decides whether that's fatal).
-template <typename RestoreEst, typename RestoreOpen>
-bool parse_body_line(const std::string& line, RestoreEst&& restore_est,
-                     RestoreOpen&& restore_open) {
-  std::istringstream ls(line);
-  std::string tag, zone_s, net, metric_s;
-  if (!(ls >> tag >> zone_s >> net >> metric_s)) return false;
-  if (tag == "EST") {
-    epoch_estimate est;
-    if (!(ls >> est.epoch_start_s >> est.mean >> est.stddev >> est.samples)) {
-      throw std::invalid_argument("malformed zone-table line: '" + line + "'");
+/// Walks a checksum-verified body (magic and checksum stripped). With
+/// `into` null it only proves the whole body decodes; the restoring pass
+/// runs after that, so damage never leaves a half-restored coordinator.
+std::uint64_t walk(std::string_view body, sharded_coordinator* into) {
+  byte_reader in{body};
+  const std::uint64_t fence = in.u64("snapshot.fence");
+  epoch_record rec;
+  estimate_key key;
+  open_epoch_state st;
+  for (;;) {
+    const std::uint8_t tag = in.u8("snapshot.tag");
+    if (tag == kEnd) break;
+    if (tag == kFrozen) {
+      get_epoch_record(in, rec);
+      key = rec.key();
+    } else if (tag == kOpen) {
+      get_open(in, key, st);
+    } else {
+      throw std::invalid_argument("bad snapshot entry tag " +
+                                  std::to_string(tag));
     }
-    restore_est(
-        estimate_key{parse_zone(zone_s), net,
-                     trace::metric_from_string(metric_s)},
-        est);
-    return true;
-  }
-  if (tag == "OPEN") {
-    open_epoch_state st;
-    unsigned long long n = 0;
-    if (!(ls >> st.open_start_s >> n >> st.mean >> st.m2)) {
-      throw std::invalid_argument("malformed open-epoch line: '" + line + "'");
+    if (!zone_table::zone_in_range(key.zone)) {
+      throw std::invalid_argument("snapshot zone out of range");
     }
-    st.n = n;
-    restore_open(
-        estimate_key{parse_zone(zone_s), net,
-                     trace::metric_from_string(metric_s)},
-        st);
-    return true;
+    if (into == nullptr) continue;
+    if (tag == kFrozen) {
+      into->restore_estimate(key, rec.estimate());
+    } else {
+      into->restore_open(key, st);
+    }
   }
-  return false;
+  const std::uint64_t alert_seq = in.u64("snapshot.alert_seq");
+  if (!in.done()) {
+    throw std::invalid_argument("trailing bytes in coordinator snapshot");
+  }
+  if (into != nullptr && alert_seq > 0) into->resume_alert_seq(alert_seq);
+  return fence;
 }
 
 }  // namespace
 
-void save_state(std::ostream& os, const durable_state& state) {
+std::string encode_snapshot(const sharded_coordinator& coord,
+                            std::uint64_t fence) {
   if (fault::fire(fault::site::persist_save) == fault::action::fail) {
     throw std::runtime_error("injected fault: coordinator snapshot refused");
   }
-  os << "WISCAPE-COORD v2\n";
-  auto keys = state.keys();
-  sort_keys(keys);
+  std::string out(kMagic);
+  put_u64(out, fence);
+  auto keys = coord.keys();
+  // Deterministic order: by zone, then network, then metric.
+  std::sort(keys.begin(), keys.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.zone, a.network, a.metric) <
+           std::tie(b.zone, b.network, b.metric);
+  });
   for (const auto& key : keys) {
-    for (const auto& est : state.history(key)) {
-      write_est(os, key, est);
+    for (const auto& est : coord.history(key)) {
+      put_u8(out, kFrozen);
+      put_epoch_record(out, epoch_record::of(0, key, est));
     }
-    if (const auto open = state.open_state(key)) {
-      write_open(os, key, *open);
-    }
+    if (const auto open = coord.open_state(key)) put_open(out, key, *open);
   }
-  os << "ALERTSEQ " << state.alert_seq() << "\n";
+  put_u8(out, kEnd);
+  put_u64(out, coord.alert_seq());
+  put_u32(out, fnv1a32(out));
+  return out;
 }
 
-void load_state(std::istream& is, durable_state& state) {
-  std::string line;
-  if (!std::getline(is, line) || line != "WISCAPE-COORD v2") {
-    throw std::invalid_argument("not a coordinator-state file (bad header)");
+std::uint64_t decode_snapshot(std::string_view bytes,
+                              sharded_coordinator& coord) {
+  if (bytes.size() < kMagic.size() + 4 || !bytes.starts_with(kMagic)) {
+    throw std::invalid_argument("not a coordinator snapshot (bad header)");
   }
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (parse_body_line(
-            line,
-            [&](const estimate_key& k, const epoch_estimate& e) {
-              state.restore_estimate(k, e);
-            },
-            [&](const estimate_key& k, const open_epoch_state& s) {
-              state.restore_open(k, s);
-            })) {
-      continue;
-    }
-    std::istringstream ls(line);
-    std::string tag;
-    std::uint64_t seq = 0;
-    if ((ls >> tag >> seq) && tag == "ALERTSEQ") {
-      if (seq > 0) state.resume_alert_seq(seq);
-      continue;
-    }
-    throw std::invalid_argument("malformed coordinator-state line: '" + line +
-                                "'");
+  const std::string_view signed_part = bytes.substr(0, bytes.size() - 4);
+  byte_reader sum{bytes, signed_part.size()};
+  if (sum.u32("snapshot.checksum") != fnv1a32(signed_part)) {
+    throw std::invalid_argument("coordinator snapshot checksum mismatch");
   }
+  const std::string_view body = signed_part.substr(kMagic.size());
+  walk(body, nullptr);
+  return walk(body, &coord);
+}
+
+void save_state(std::ostream& os, const sharded_coordinator& coord) {
+  os << encode_snapshot(coord, 0);
+}
+
+std::uint64_t load_state(std::istream& is, sharded_coordinator& coord) {
+  std::ostringstream bytes;
+  bytes << is.rdbuf();
+  return decode_snapshot(bytes.view(), coord);
 }
 
 }  // namespace wiscape::core

@@ -1,54 +1,62 @@
-// Coordinator-state persistence: one snapshot format, one entry point.
+// Coordinator-state snapshots: one fenced binary format, one encoder, one
+// decoder. A snapshot is:
 //
-// A real WiScape coordinator runs for months; its product -- the frozen
-// per-zone-epoch estimates -- must survive restarts. The format is
-// line-oriented text like the rest of the interchange surfaces, so
-// operators can grep their coverage history:
+//   "WISCAPE-COORD v3\n"
+//   u64 fence                      highest log/WAL sequence the state covers
+//   entries, each a u8 tag:
+//     1  frozen estimate           core::epoch_record (seq 0)
+//     2  open-epoch accumulator    i32 zone_ix, i32 zone_iy, u8 metric,
+//                                  f64 open_start, u64 n, f64 mean, f64 m2,
+//                                  str16 network
+//     0  end of entries
+//   u64 alert_seq                  the alert ring's high sequence number
+//   u32 fnv1a32                    over every byte before it
 //
-//   WISCAPE-COORD v2
-//   EST <zone> <network> <metric> <epoch_start> <mean> <stddev> <n>
-//   OPEN <zone> <network> <metric> <open_start> <n> <mean> <m2>
-//   ALERTSEQ <pushed>
+// Frozen estimates use the one frozen-epoch codec (core/epoch_record.h), so
+// a snapshot, a WAL record and an EPOCHB element encode an estimate the
+// same way, as raw IEEE-754 bits: round trips are bit-exact. Entries are
+// sorted by (zone, network, metric); each stream's history comes oldest
+// first, then its open accumulator when that epoch has samples, so a
+// coordinator killed mid-epoch resumes exactly where it stopped. The alert
+// sequence resumes alert numbering after a restart instead of restarting
+// at 1, which would rewind client cursors.
 //
-// One EST line per frozen estimate, doubles printed with %.17g so a
-// save/load round trip is bit-exact. Each stream with a non-empty open
-// (not yet frozen) epoch adds one OPEN line carrying its Welford
-// accumulator -- a coordinator killed mid-epoch resumes exactly where it
-// stopped instead of losing the partial epoch. Streams whose open epoch is
-// empty write no OPEN line: an empty epoch re-aligns to
-// floor(t / duration) * duration on the first post-restart sample,
-// identical to a fresh stream. ALERTSEQ records the alert ring's high
-// sequence number, so a restarted coordinator resumes alert numbering
-// instead of restarting at 1 (which would silently rewind client cursors).
-//
-// State is read and written through the narrow core::durable_state
-// interface (src/core/durable_state.h), which core::sharded_coordinator
-// implements; the same snapshot code serves standalone recovery and the
-// replication catch-up path. The crash-consistent WAL/snapshot *pair*
-// built on top of these snapshots lives in core/durable_log.h.
+// The fence ties the snapshot to a log: core::durable_log stamps the
+// highest WAL sequence it has seen and replays only records above it;
+// replication catch-up (src/repl) stamps the leader log's sequence, and
+// the joiner resumes pulling after it. The decoder checks the magic and the
+// checksum and decodes the whole body before it restores anything, so
+// truncated, bit-flipped or malformed input -- catch-up bytes come from a
+// peer over TCP -- throws std::invalid_argument and restores nothing.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
-
-#include "core/durable_state.h"
+#include <string>
+#include <string_view>
 
 namespace wiscape::core {
 
-/// Writes a coordinator's full estimate state (frozen + open epochs,
-/// deterministically sorted by zone, network, metric) plus the alert
-/// sequence high-water mark. Quiesce producers (flush()) first so
-/// in-flight reports are applied. Honours the `persist_save`
-/// fault-injection site: an injected fault throws std::runtime_error
-/// before anything is written, modelling a failed snapshot (callers must
-/// treat a throw as "no snapshot taken").
-void save_state(std::ostream& os, const durable_state& state);
+class sharded_coordinator;
 
-/// Restores state saved by save_state into a freshly constructed
-/// coordinator (same grid / networks / config). Must be called before any
-/// report is ingested: the ALERTSEQ line resumes the alert ring's
+/// Renders `coord`'s full estimate state fenced at `fence`. Quiesce
+/// producers (flush()) first so in-flight reports are applied. Honours the
+/// `persist_save` fault-injection site: an injected fault throws
+/// std::runtime_error before anything is rendered, modelling a failed
+/// snapshot (callers must treat a throw as "no snapshot taken").
+std::string encode_snapshot(const sharded_coordinator& coord,
+                            std::uint64_t fence);
+
+/// Restores a snapshot into a freshly constructed coordinator (same grid /
+/// networks / config) and returns its fence. Must be called before any
+/// report is ingested: the alert sequence resumes the alert ring's
 /// numbering, which alert_ring::resume_from only permits on an untouched
-/// ring. Throws std::invalid_argument on malformed input (bad header,
-/// zone, metric or line).
-void load_state(std::istream& is, durable_state& state);
+/// ring. Throws std::invalid_argument on any damage, before restoring.
+std::uint64_t decode_snapshot(std::string_view bytes,
+                              sharded_coordinator& coord);
+
+/// encode_snapshot / decode_snapshot over streams (fence 0 on save).
+void save_state(std::ostream& os, const sharded_coordinator& coord);
+std::uint64_t load_state(std::istream& is, sharded_coordinator& coord);
 
 }  // namespace wiscape::core

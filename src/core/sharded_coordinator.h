@@ -50,7 +50,6 @@
 #include <vector>
 
 #include "core/coordinator.h"
-#include "core/durable_state.h"
 #include "core/network_interner.h"
 #include "core/report_queue.h"
 
@@ -77,7 +76,7 @@ struct shard_stats {
   std::size_t queue_depth = 0;         ///< reports enqueued, not yet applied
 };
 
-class sharded_coordinator : public durable_state {
+class sharded_coordinator {
  public:
   /// Shard 0 seeds its rng with `seed` itself (so num_shards = 1 matches a
   /// sequential coordinator(seed) draw-for-draw); shard i > 0 uses an
@@ -172,24 +171,23 @@ class sharded_coordinator : public durable_state {
   /// sequence numbers across the whole coordinator.
   const alert_ring& alert_sink() const noexcept { return ring_; }
 
-  // ---- persistence surface (core::durable_state) --------------------------
+  // ---- persistence surface (core/persist.h, core/durable_log.h) ----------
+  // Restore calls replay saved state: they raise no alerts and move no
+  // ingestion counters.
 
   /// Restores a frozen estimate into the owning shard (under its lock).
-  void restore_estimate(const estimate_key& key,
-                        const epoch_estimate& e) override;
+  void restore_estimate(const estimate_key& key, const epoch_estimate& e);
   /// Restores an open-epoch accumulator into the owning shard.
-  void restore_open(const estimate_key& key,
-                    const open_epoch_state& st) override;
+  void restore_open(const estimate_key& key, const open_epoch_state& st);
   /// Open-epoch accumulator of a stream, from its owning shard.
-  std::optional<open_epoch_state> open_state(
-      const estimate_key& key) const override;
+  std::optional<open_epoch_state> open_state(const estimate_key& key) const;
   /// The shared alert ring's high-water sequence number.
-  std::uint64_t alert_seq() const override { return ring_.pushed(); }
+  std::uint64_t alert_seq() const { return ring_.pushed(); }
   /// Resumes the shared alert ring's sequence numbering after a restart
   /// (alert_ring::resume_from semantics: pre-restart sequences account as
   /// dropped to lagging cursors, never silently vanish). Call before any
   /// report is ingested.
-  void resume_alert_seq(std::uint64_t last_seq) override {
+  void resume_alert_seq(std::uint64_t last_seq) {
     ring_.resume_from(last_seq);
   }
 
@@ -211,10 +209,10 @@ class sharded_coordinator : public durable_state {
 
   /// Latest frozen estimate / history for a key, from its owning shard.
   std::optional<epoch_estimate> latest(const estimate_key& key) const;
-  std::vector<epoch_estimate> history(const estimate_key& key) const override;
+  std::vector<epoch_estimate> history(const estimate_key& key) const;
 
   /// All keys across shards (unspecified order).
-  std::vector<estimate_key> keys() const override;
+  std::vector<estimate_key> keys() const;
 
   /// All change alerts across shards, sorted by (epoch_start_s, key) so two
   /// runs that raised the same alerts compare equal regardless of shard

@@ -35,6 +35,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/epoch_record.h"
 #include "geo/lat_lon.h"
 #include "geo/zone_grid.h"
 #include "trace/record.h"
@@ -121,22 +122,11 @@ struct estimate_reply {
   double confidence = 0.0;
 };
 
-/// One replicated frozen epoch (ISSUE 10): the leader log's sequence
-/// number (the follower's dedup key) plus the (zone, network, metric)
-/// stream key and the published estimate. Travels in v3 EPOCHB frames with
-/// doubles as raw IEEE bits, so a follower's applied state is bit-equal to
-/// the leader's. Lives here (not wire_v3.h) because reply_buffer stages
-/// decode scratch of it.
-struct epoch_update {
-  std::uint64_t seq = 0;
-  geo::zone_id zone;
-  std::string network;
-  trace::metric metric = trace::metric::tcp_throughput_bps;
-  double epoch_start_s = 0.0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  std::uint64_t samples = 0;
-};
+/// One replicated frozen epoch: the leader log's sequence number (the
+/// follower's dedup key) plus the stream key and the published estimate.
+/// The record and its one binary encoding live in core/epoch_record.h;
+/// EPOCHB frames carry exactly that encoding.
+using epoch_update = core::epoch_record;
 
 /// Client -> coordinator: incremental alert drain ("ALERTS since=<seq>
 /// [max=<n>]").

@@ -1,8 +1,5 @@
 #include "proto/wire_v3.h"
 
-#include <algorithm>
-#include <bit>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -10,46 +7,20 @@ namespace wiscape::proto::v3 {
 
 namespace {
 
-// ---- byte-level writers ---------------------------------------------------
-// Little-endian, endianness-independent (byte shifts, no reinterpret_cast of
-// the output buffer). All append to the reply_buffer's byte store.
+// ---- byte-level codec ----------------------------------------------------
+// core/byte_codec.h: little-endian writers into the reply_buffer's byte
+// store, and the bounds-checked reader every decoder below walks a frame's
+// payload with -- an off-by-one in a hostile frame surfaces as ERR parse,
+// never as a read past the buffer.
 
-void put_u8(reply_buffer& out, std::uint8_t v) {
-  out.append(static_cast<char>(v));
-}
-
-void put_u16(reply_buffer& out, std::uint16_t v) {
-  char b[2] = {static_cast<char>(v & 0xff), static_cast<char>(v >> 8)};
-  out.append(std::string_view(b, 2));
-}
-
-void put_u32(reply_buffer& out, std::uint32_t v) {
-  char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.append(std::string_view(b, 4));
-}
-
-void put_u64(reply_buffer& out, std::uint64_t v) {
-  char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out.append(std::string_view(b, 8));
-}
-
-void put_i32(reply_buffer& out, std::int32_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-}
-
-// Doubles travel as their raw IEEE-754 bits: bit-exact round trips, no
-// decimal rendering anywhere on the v3 path.
-void put_f64(reply_buffer& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_str16(reply_buffer& out, std::string_view s) {
-  const std::size_t n = std::min<std::size_t>(s.size(), 0xffff);
-  put_u16(out, static_cast<std::uint16_t>(n));
-  out.append(s.substr(0, n));
-}
+using core::put_f64;
+using core::put_i32;
+using core::put_str16;
+using core::put_u16;
+using core::put_u32;
+using core::put_u64;
+using core::put_u8;
+using reader = core::byte_reader;
 
 /// Opens a frame: appends the header with a zero length placeholder and
 /// returns the frame's start offset for end_frame to patch.
@@ -71,89 +42,6 @@ void end_frame(reply_buffer& out, std::size_t at) {
         static_cast<char>((len >> (8 * i)) & 0xff);
   }
 }
-
-// ---- byte-level reader ----------------------------------------------------
-// A bounds-checked cursor over one frame's payload. Every read validates
-// the remaining bytes first and throws std::invalid_argument naming the
-// field -- an off-by-one in a hostile frame surfaces as ERR parse, never as
-// a read past the buffer.
-
-struct reader {
-  std::string_view buf;
-  std::size_t pos = 0;
-
-  std::size_t left() const noexcept { return buf.size() - pos; }
-  bool done() const noexcept { return pos == buf.size(); }
-
-  [[noreturn]] static void underrun(const char* what) {
-    throw std::invalid_argument(std::string("binary frame truncated at ") +
-                                what);
-  }
-
-  /// One bounds check covering the next `n` bytes. The _raw loads below
-  /// skip their per-field check; callers must have reserved the span here
-  /// first, which turns a fixed-width struct prefix into a single branch
-  /// followed by straight-line loads.
-  void need(std::size_t n, const char* what) const {
-    if (left() < n) underrun(what);
-  }
-
-  template <typename T>
-  T load_le() noexcept {
-    T v;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(&v, buf.data() + pos, sizeof(T));
-    } else {
-      v = 0;
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        v = static_cast<T>(
-            v | static_cast<T>(static_cast<unsigned char>(buf[pos + i]))
-                    << (8 * i));
-      }
-    }
-    pos += sizeof(T);
-    return v;
-  }
-
-  std::uint8_t u8_raw() noexcept {
-    return static_cast<std::uint8_t>(buf[pos++]);
-  }
-  std::uint64_t u64_raw() noexcept { return load_le<std::uint64_t>(); }
-  std::int32_t i32_raw() noexcept {
-    return static_cast<std::int32_t>(load_le<std::uint32_t>());
-  }
-  double f64_raw() noexcept {
-    return std::bit_cast<double>(load_le<std::uint64_t>());
-  }
-
-  std::uint8_t u8(const char* what) {
-    need(1, what);
-    return u8_raw();
-  }
-  std::uint16_t u16(const char* what) {
-    need(2, what);
-    return load_le<std::uint16_t>();
-  }
-  std::uint32_t u32(const char* what) {
-    need(4, what);
-    return load_le<std::uint32_t>();
-  }
-  std::uint64_t u64(const char* what) {
-    need(8, what);
-    return u64_raw();
-  }
-  std::int32_t i32(const char* what) {
-    return static_cast<std::int32_t>(u32(what));
-  }
-  double f64(const char* what) { return std::bit_cast<double>(u64(what)); }
-  std::string_view str16(const char* what) {
-    const std::uint16_t n = u16(what);
-    if (left() < n) underrun(what);
-    const std::string_view s = buf.substr(pos, n);
-    pos += n;
-    return s;
-  }
-};
 
 /// Validates the frame envelope and returns the payload: the magic and
 /// opcode must match, and the declared length must equal the bytes present.
@@ -259,11 +147,7 @@ void get_query(reader& r, query_request& q) {
   r.need(query_fixed_bytes, "query fixed fields");
   q.pos.lat_deg = r.f64_raw();
   q.pos.lon_deg = r.f64_raw();
-  const std::uint8_t metric = r.u8_raw();
-  if (metric > static_cast<std::uint8_t>(trace::metric::uplink_throughput_bps)) {
-    throw std::invalid_argument("bad metric byte " + std::to_string(metric));
-  }
-  q.metric = static_cast<trace::metric>(metric);
+  q.metric = core::metric_from_byte(r.u8_raw());
   q.time_s = r.f64_raw();
   q.network = r.str16("query.network");
 }
@@ -297,11 +181,7 @@ std::optional<estimate_reply> get_estimate(reader& r) {
   r.need(est_fixed_bytes, "est fixed fields");
   rep.zone.ix = r.i32_raw();
   rep.zone.iy = r.i32_raw();
-  const std::uint8_t metric = r.u8_raw();
-  if (metric > static_cast<std::uint8_t>(trace::metric::uplink_throughput_bps)) {
-    throw std::invalid_argument("bad metric byte " + std::to_string(metric));
-  }
-  rep.metric = static_cast<trace::metric>(metric);
+  rep.metric = core::metric_from_byte(r.u8_raw());
   rep.count = r.u64_raw();
   rep.mean = r.f64_raw();
   rep.stddev = r.f64_raw();
@@ -310,40 +190,6 @@ std::optional<estimate_reply> get_estimate(reader& r) {
   rep.confidence = r.f64_raw();
   rep.network = r.str16("est.network");
   return rep;
-}
-
-// One epoch_update's fixed-width prefix (seq + zone + metric + estimate);
-// the trailing str16 network adds at least its 2-byte length prefix.
-constexpr std::size_t epoch_fixed_bytes = 49;
-constexpr std::size_t min_epoch_bytes = epoch_fixed_bytes + 2;
-
-void put_epoch(reply_buffer& out, const epoch_update& u) {
-  put_u64(out, u.seq);
-  put_i32(out, u.zone.ix);
-  put_i32(out, u.zone.iy);
-  put_u8(out, static_cast<std::uint8_t>(u.metric));
-  put_f64(out, u.epoch_start_s);
-  put_f64(out, u.mean);
-  put_f64(out, u.stddev);
-  put_u64(out, u.samples);
-  put_str16(out, u.network);
-}
-
-void get_epoch(reader& r, epoch_update& u) {
-  r.need(epoch_fixed_bytes, "epoch fixed fields");
-  u.seq = r.u64_raw();
-  u.zone.ix = r.i32_raw();
-  u.zone.iy = r.i32_raw();
-  const std::uint8_t metric = r.u8_raw();
-  if (metric > static_cast<std::uint8_t>(trace::metric::uplink_throughput_bps)) {
-    throw std::invalid_argument("bad metric byte " + std::to_string(metric));
-  }
-  u.metric = static_cast<trace::metric>(metric);
-  u.epoch_start_s = r.f64_raw();
-  u.mean = r.f64_raw();
-  u.stddev = r.f64_raw();
-  u.samples = r.u64_raw();
-  u.network = r.str16("epoch.network");
 }
 
 /// Rejects a batch count before any allocation: over the protocol cap, or
@@ -510,7 +356,7 @@ void encode_epoch_batch_frame(std::span<const epoch_update> updates,
                               reply_buffer& out) {
   const std::size_t at = begin_frame(out, opcode::epochb);
   put_u32(out, static_cast<std::uint32_t>(updates.size()));
-  for (const auto& u : updates) put_epoch(out, u);
+  for (const auto& u : updates) core::put_epoch_record(out.storage(), u);
   end_frame(out, at);
 }
 
@@ -691,12 +537,13 @@ void decode_epoch_batch_frame_into(std::string_view frame,
                                    std::vector<epoch_update>& out) {
   reader r{payload_of(frame, opcode::epochb)};
   const std::uint32_t n = r.u32("epochb.count");
-  check_count(n, max_epoch_batch, min_epoch_bytes, r.left(), "epochb");
+  check_count(n, max_epoch_batch, core::min_epoch_record_bytes, r.left(),
+              "epochb");
   out.clear();
   out.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     out.emplace_back();
-    get_epoch(r, out.back());
+    core::get_epoch_record(r, out.back());
   }
   require_done(r);
 }

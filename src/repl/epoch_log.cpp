@@ -31,14 +31,7 @@ epoch_log::epoch_log(std::size_t capacity, core::durable_log* wal)
 
 void epoch_log::on_epoch(const core::estimate_key& key,
                          const core::epoch_estimate& e) {
-  proto::epoch_update u;
-  u.zone = key.zone;
-  u.network = key.network;
-  u.metric = key.metric;
-  u.epoch_start_s = e.epoch_start_s;
-  u.mean = e.mean;
-  u.stddev = e.stddev;
-  u.samples = e.samples;
+  auto u = core::epoch_record::of(0, key, e);
   std::lock_guard lock(mu_);
   u.seq = next_seq_++;
   if (wal_ != nullptr) {

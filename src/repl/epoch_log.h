@@ -1,18 +1,20 @@
 // The leader-side replication log: a bounded in-memory ring of frozen
-// epochs, fed by core::zone_table's epoch tap (ISSUE 10).
+// epochs, fed by core::zone_table's epoch tap.
 //
 // Every rollover on the serving coordinator lands here as one
-// proto::epoch_update with a monotonically increasing sequence number --
-// the unit of replication and the follower's dedup cursor. Followers pull
-// suffixes of this log (EPOCH -> EPOCHB over wire v3); a follower whose
-// cursor has fallen below the ring's retained base is told to snapshot
-// catch-up instead (pull() returns false).
+// core::epoch_record (spelled proto::epoch_update on the wire side) with a
+// monotonically increasing sequence number -- the unit of replication and
+// the follower's dedup cursor. Followers pull suffixes of this log (EPOCH
+// -> EPOCHB over wire v3); a follower whose cursor has fallen below the
+// ring's retained base is told to snapshot catch-up instead (pull()
+// returns false).
 //
-// Optionally tees every record into a core::durable_log WAL, so the
-// replication stream and crash recovery share one record stream: what a
-// follower replays over the wire is exactly what recovery replays from
-// disk. Thread-safe: the tap fires from sharded drain workers while
-// pulls arrive from transport threads.
+// Optionally tees every record into a core::durable_log WAL. The WAL, the
+// EPOCHB element and the snapshot share one record codec
+// (core/epoch_record.h), so what a follower replays over the wire is
+// byte-for-byte what recovery replays from disk. Thread-safe: the tap
+// fires from sharded drain workers while pulls arrive from transport
+// threads.
 #pragma once
 
 #include <cstdint>

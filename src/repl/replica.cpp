@@ -1,7 +1,6 @@
 #include "repl/replica.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/fault_injection.h"
@@ -35,22 +34,17 @@ repl_metrics& metrics() {
   return m;
 }
 
-/// Captures the catch-up snapshot: "REPLSEQ <seq>\n" + the persist state
-/// rendering. `seq` is read *before* the state walk -- every record at or
-/// below it rolled over before the walk started, so it is covered by the
-/// snapshot; records that land mid-walk may appear in both the snapshot
-/// and the pull that follows, which the idempotent re-apply absorbs.
-void capture_snapshot(const core::sharded_coordinator& coord,
-                      std::uint64_t seq, std::string& cache) {
-  std::ostringstream os;
-  os << "REPLSEQ " << seq << "\n";
-  core::save_state(os, coord);
-  cache = os.str();
-}
-
-/// Serves one bounded slice of the captured snapshot.
-bool serve_chunk(const std::string& cache, std::uint64_t offset,
-                 std::string& data, std::uint64_t& total, bool& last) {
+/// Serves one bounded slice of a fenced catch-up snapshot; offset 0
+/// captures a fresh one into `cache`. The fence is read before the state
+/// walk: every record at or below it rolled over before the walk started,
+/// so the snapshot covers it; records that land mid-walk may appear in both
+/// the snapshot and the pull that follows, which the idempotent re-apply
+/// absorbs.
+bool serve_snapshot(const core::sharded_coordinator& coord,
+                    std::uint64_t fence, std::string& cache,
+                    std::uint64_t offset, std::string& data,
+                    std::uint64_t& total, bool& last) {
+  if (offset == 0) cache = core::encode_snapshot(coord, fence);
   total = cache.size();
   if (offset > total) return false;
   const std::size_t len = std::min<std::uint64_t>(
@@ -78,10 +72,8 @@ bool leader::pull(std::uint64_t since_seq, std::uint32_t max_records,
 bool leader::snapshot(std::uint64_t offset, std::string& data,
                       std::uint64_t& total, bool& last) {
   std::lock_guard lock(snap_mu_);
-  if (offset == 0) {
-    capture_snapshot(*coordinator_, log_.last_seq(), snap_cache_);
-  }
-  return serve_chunk(snap_cache_, offset, data, total, last);
+  return serve_snapshot(*coordinator_, log_.last_seq(), snap_cache_, offset,
+                        data, total, last);
 }
 
 std::uint64_t leader::apply(std::span<const proto::epoch_update> updates) {
@@ -107,13 +99,10 @@ bool follower::pull(std::uint64_t since_seq, std::uint32_t max_records,
 bool follower::snapshot(std::uint64_t offset, std::string& data,
                         std::uint64_t& total, bool& last) {
   std::lock_guard lock(apply_mu_);
-  if (offset == 0) {
-    capture_snapshot(
-        *coordinator_,
-        std::max(applied_seq_.load(std::memory_order_acquire), log_.last_seq()),
-        snap_cache_);
-  }
-  return serve_chunk(snap_cache_, offset, data, total, last);
+  const std::uint64_t fence = std::max(
+      applied_seq_.load(std::memory_order_acquire), log_.last_seq());
+  return serve_snapshot(*coordinator_, fence, snap_cache_, offset, data, total,
+                        last);
 }
 
 std::uint64_t follower::apply(std::span<const proto::epoch_update> updates) {
@@ -129,16 +118,7 @@ std::uint64_t follower::apply(std::span<const proto::epoch_update> updates) {
       m.duplicates.inc();
       continue;
     }
-    core::estimate_key key;
-    key.zone = u.zone;
-    key.network = u.network;
-    key.metric = u.metric;
-    core::epoch_estimate est;
-    est.epoch_start_s = u.epoch_start_s;
-    est.mean = u.mean;
-    est.stddev = u.stddev;
-    est.samples = static_cast<std::size_t>(u.samples);
-    const bool was_merge = coordinator_->apply_epoch(key, est);
+    const bool was_merge = coordinator_->apply_epoch(u.key(), u.estimate());
     m.applied.inc();
     if (was_merge) m.merged.inc();
     ++applied;
@@ -216,15 +196,11 @@ void follower::catch_up(const transport& send) {
       throw std::runtime_error("replication catch-up: empty non-final chunk");
     }
   }
-  const std::size_t nl = snap.find('\n');
-  if (nl == std::string::npos || snap.compare(0, 8, "REPLSEQ ") != 0) {
-    throw std::runtime_error("replication catch-up: missing REPLSEQ header");
-  }
-  const std::uint64_t seq = std::stoull(snap.substr(8, nl - 8));
-  std::istringstream is(snap.substr(nl + 1));
+  // The snapshot header's fence is the log sequence it covers: pulling
+  // resumes right after it.
   std::lock_guard lock(apply_mu_);
-  core::load_state(is, *coordinator_);
-  applied_seq_.store(seq, std::memory_order_release);
+  applied_seq_.store(core::decode_snapshot(snap, *coordinator_),
+                     std::memory_order_release);
 }
 
 }  // namespace wiscape::repl

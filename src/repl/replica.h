@@ -1,5 +1,5 @@
 // Replicated-coordinator roles: the leader that streams epoch rollovers
-// and the follower that applies them and can take over (ISSUE 10).
+// and the follower that applies them and can take over.
 //
 // Both roles implement proto::replication_endpoint, so a
 // coordinator_server with one attached serves the v3 replication opcodes
@@ -9,8 +9,8 @@
 //  * leader -- wires an epoch_log into the serving sharded coordinator's
 //    epoch tap; every rollover becomes one sequenced epoch_update that
 //    followers pull. Serves snapshot catch-up for joiners: offset 0
-//    captures "REPLSEQ <seq>\n" + the core::persist state rendering, so
-//    the joiner knows exactly which log suffix the snapshot covers.
+//    captures a core::persist snapshot fenced at the log's last sequence,
+//    so the joiner knows exactly which log suffix the snapshot covers.
 //  * follower -- applies pulled batches through the coordinator's
 //    zone_table fast-forward path (restore semantics: no alerts, no
 //    ingest counters), deduplicating by sequence cursor, so leader and
@@ -82,7 +82,7 @@ class leader : public proto::replication_endpoint {
   core::sharded_coordinator* coordinator_;
   epoch_log log_;
   std::mutex snap_mu_;      // guards the catch-up snapshot capture
-  std::string snap_cache_;  // "REPLSEQ <n>\n" + persist state rendering
+  std::string snap_cache_;  // the fenced snapshot being served
 };
 
 /// The applying side. Borrows the (initially empty, non-ingesting)
@@ -133,8 +133,9 @@ class follower : public proto::replication_endpoint {
 
   /// Full snapshot catch-up: streams SNAPSHOT_REQ/SNAPSHOT_CHUNK, loads
   /// the state into the coordinator, and advances the cursor to the
-  /// snapshot's covering sequence. Valid on a fresh follower only (the
-  /// persist loader restores, it does not merge).
+  /// snapshot header's fence. Valid on a fresh follower only (the persist
+  /// loader restores, it does not merge). The bytes come from a peer:
+  /// damaged ones throw std::invalid_argument before anything is restored.
   void catch_up(const transport& send);
 
  private:

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -164,8 +165,9 @@ TEST(ObsSpan, RecordsElapsedIntoHistogram) {
 TEST(ObsSnapshotWriter, WritesParseableJsonLines) {
   registry reg;
   reg.get_counter("w.events").inc(3);
-  const std::string path =
-      ::testing::TempDir() + "obs_snapshot_writer_test.jsonl";
+  // Per-process name: concurrent ctest runs share TempDir().
+  const std::string path = ::testing::TempDir() + "obs_snapshot_writer_test_" +
+                           std::to_string(::getpid()) + ".jsonl";
   std::remove(path.c_str());
   {
     snapshot_writer writer(path, std::chrono::milliseconds(10), reg);

@@ -1,12 +1,16 @@
-// Coordinator-state persistence (core::save_state / core::load_state) over
-// a 1-shard synchronous sharded_coordinator: bit-exact EST/OPEN round
-// trips, deterministic output, and typed rejection of malformed input.
+// Coordinator-state persistence (core::save_state / core::load_state and
+// the encode_snapshot / decode_snapshot pair under them) over a 1-shard
+// synchronous sharded_coordinator: bit-exact frozen/open round trips,
+// deterministic output, the fence, and typed rejection of damaged or
+// malformed input that restores nothing.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <memory>
 #include <sstream>
 
+#include "core/byte_codec.h"
+#include "core/epoch_record.h"
 #include "core/persist.h"
 #include "test_util.h"
 
@@ -109,14 +113,14 @@ TEST(Persist, RestoredTableKeepsAccumulating) {
   EXPECT_EQ(hist[before].epoch_start_s, 300.0);
 }
 
-TEST(Persist, V2RoundTripIsBitExact) {
+TEST(Persist, RoundTripIsBitExact) {
   persist_fixture fx;
   const auto orig = fx.populated();
   std::string bytes;
   const auto back = fx.round_trip(*orig, &bytes);
 
-  // %.17g printing makes the text round trip lossless: every double
-  // compares equal bit-for-bit, and re-saving reproduces the same bytes.
+  // Raw IEEE-754 bits make the round trip lossless: every double compares
+  // equal bit-for-bit, and re-saving reproduces the same bytes.
   for (const auto& key : orig->keys()) {
     const auto want = orig->history(key);
     const auto got = back->history(key);
@@ -155,8 +159,8 @@ TEST(Persist, DeterministicFileOrder) {
   EXPECT_EQ(saved(*a), bytes);
   EXPECT_EQ(saved(*b), bytes);
   // Sorted by zone, then network, then metric: kRtt's zone 0:5 sorts
-  // before kUdp's 3:-2.
-  EXPECT_LT(bytes.find("EST 0:5 NetC"), bytes.find("EST 3:-2 NetB"));
+  // before kUdp's 3:-2, so every NetC entry precedes every NetB one.
+  EXPECT_LT(bytes.rfind("NetC"), bytes.find("NetB"));
 }
 
 TEST(Persist, EmptyTableRoundTrip) {
@@ -164,34 +168,116 @@ TEST(Persist, EmptyTableRoundTrip) {
   const auto empty = fx.fresh();
   std::string bytes;
   const auto back = fx.round_trip(*empty, &bytes);
-  EXPECT_EQ(bytes, "WISCAPE-COORD v2\nALERTSEQ 0\n");
+  // Magic, fence 0, the end tag, alert sequence 0 and the checksum.
+  EXPECT_EQ(bytes.size(), 17u + 8 + 1 + 8 + 4);
+  EXPECT_EQ(bytes.rfind("WISCAPE-COORD v3\n", 0), 0u);
   EXPECT_TRUE(back->keys().empty());
+}
+
+// A snapshot body with a valid checksum: `entries` between the fence and
+// the end tag, as the encoder lays them out.
+std::string signed_snapshot(const std::string& entries,
+                            const std::string& after_end = "") {
+  std::string s = "WISCAPE-COORD v3\n";
+  put_u64(s, 0);
+  s += entries;
+  put_u8(s, 0);
+  put_u64(s, 0);
+  s += after_end;
+  put_u32(s, fnv1a32(s));
+  return s;
+}
+
+std::string frozen_entry(const epoch_record& r) {
+  std::string e;
+  put_u8(e, 1);
+  put_epoch_record(e, r);
+  return e;
 }
 
 TEST(Persist, RejectsMalformedInput) {
   persist_fixture fx;
-  for (const char* bad : {
-           "nope\n",                                             // header
-           "WISCAPE-COORD v2\nEST garbage\n",                    // line
-           "WISCAPE-COORD v2\nEST nozone NetB rtt 0 1 1 1\n",    // zone
-           "WISCAPE-COORD v2\nEST 1:1 NetB warp 0 1 1 1\n",      // metric
-           "WISCAPE-COORD v2\nOPEN 1:1 NetB rtt 0 x 1 1\n",      // open line
-           "WISCAPE-COORD v2\nWHAT 1\n",                         // tag
+  const epoch_record good{0, {1, 1}, "NetB", trace::metric::rtt_s,
+                          0.0, 1.0, 1.0, 1};
+  epoch_record far_zone = good;
+  far_zone.zone = {1 << 24, 0};
+  std::string bad_metric = frozen_entry(good);
+  bad_metric[1 + 8 + 4 + 4] = 9;  // the metric byte
+  std::string cut_record = frozen_entry(good);
+  cut_record.resize(cut_record.size() - 3);
+  std::string bad_sum = signed_snapshot(frozen_entry(good));
+  bad_sum.back() ^= 0x01;
+  for (const std::string& bad : {
+           std::string("nope\n"),                     // header
+           std::string(),                              // empty
+           bad_sum,                                    // checksum
+           signed_snapshot(std::string(1, '\x07')),    // tag
+           signed_snapshot(bad_metric),                // metric
+           signed_snapshot(frozen_entry(far_zone)),    // zone
+           signed_snapshot(cut_record),                // record
+           signed_snapshot(frozen_entry(good), "x"),   // trailing
        }) {
-    std::stringstream ss(bad);
     const auto c = fx.fresh();
-    EXPECT_THROW(load_state(ss, *c), std::invalid_argument) << bad;
+    EXPECT_THROW(decode_snapshot(bad, *c), std::invalid_argument)
+        << ::testing::PrintToString(bad);
+    EXPECT_TRUE(c->keys().empty());
+  }
+  // The same entry, signed and well formed, loads.
+  const auto c = fx.fresh();
+  EXPECT_EQ(decode_snapshot(signed_snapshot(frozen_entry(good)), *c), 0u);
+  EXPECT_EQ(c->history({{1, 1}, "NetB", trace::metric::rtt_s}).size(), 1u);
+}
+
+TEST(Persist, SnapshotCutAtEveryByteThrowsAndRestoresNothing) {
+  persist_fixture fx;
+  const std::string full = encode_snapshot(*fx.populated(), 7);
+  const auto c = fx.fresh();
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    EXPECT_THROW(decode_snapshot(std::string_view(full).substr(0, cut), *c),
+                 std::invalid_argument)
+        << "cut at byte " << cut;
+    ASSERT_TRUE(c->keys().empty()) << "cut at byte " << cut;
+  }
+  EXPECT_EQ(decode_snapshot(full, *c), 7u);
+}
+
+TEST(Persist, SnapshotWithAnyByteFlippedThrowsAndRestoresNothing) {
+  persist_fixture fx;
+  const std::string full = encode_snapshot(*fx.populated(), 7);
+  const auto c = fx.fresh();
+  for (std::size_t at = 0; at < full.size(); ++at) {
+    std::string bad = full;
+    bad[at] = static_cast<char>(~bad[at]);
+    EXPECT_THROW(decode_snapshot(bad, *c), std::invalid_argument)
+        << "byte " << at;
+    ASSERT_TRUE(c->keys().empty()) << "byte " << at;
   }
 }
 
+TEST(Persist, SnapshotCarriesItsFence) {
+  persist_fixture fx;
+  const auto orig = fx.populated();
+  const auto back = fx.fresh();
+  EXPECT_EQ(decode_snapshot(encode_snapshot(*orig, 123456789), *back),
+            123456789u);
+  EXPECT_EQ(saved(*back), saved(*orig));
+  // save_state writes fence 0, and load_state reports it.
+  std::stringstream ss;
+  save_state(ss, *orig);
+  EXPECT_EQ(load_state(ss, *fx.fresh()), 0u);
+}
+
 TEST(Persist, RejectsRetiredZoneTableFormat) {
-  // The bare zone-table snapshot ("WISCAPE-ZONETABLE v1/v2") is retired:
-  // coordinator state has one format, and the loader says so by header.
+  // The bare zone-table snapshot ("WISCAPE-ZONETABLE v1/v2") and the text
+  // coordinator snapshot ("WISCAPE-COORD v2") are retired: coordinator
+  // state has one format, and the loader says so by header.
   persist_fixture fx;
   for (const char* header :
-       {"WISCAPE-ZONETABLE v1\n", "WISCAPE-ZONETABLE v2\n"}) {
+       {"WISCAPE-ZONETABLE v1\n", "WISCAPE-ZONETABLE v2\n",
+        "WISCAPE-COORD v2\n"}) {
     std::stringstream ss(std::string(header) +
-                         "EST 3:-2 NetB udp_throughput 0 1000000 50000 20\n");
+                         "EST 3:-2 NetB udp_throughput 0 1000000 50000 20\n"
+                         "ALERTSEQ 0\n");
     const auto c = fx.fresh();
     EXPECT_THROW(load_state(ss, *c), std::invalid_argument) << header;
   }
@@ -200,12 +286,12 @@ TEST(Persist, RejectsRetiredZoneTableFormat) {
 TEST(Persist, FileRoundTrip) {
   persist_fixture fx;
   const auto orig = fx.populated();
-  const std::string path = ::testing::TempDir() + "/wiscape_state.txt";
+  const std::string path = ::testing::TempDir() + "/wiscape_state.bin";
   {
-    std::ofstream os(path);
+    std::ofstream os(path, std::ios::binary);
     save_state(os, *orig);
   }
-  std::ifstream is(path);
+  std::ifstream is(path, std::ios::binary);
   const auto back = fx.fresh();
   load_state(is, *back);
   EXPECT_EQ(back->keys().size(), orig->keys().size());

@@ -163,6 +163,11 @@ struct planner_case {
   const char* label;
 };
 
+// Prints a case as its label. The default printer dumps the raw parameter
+// bytes, label pointer included, and ctest names parameterized tests after
+// the printed value -- so the names changed with every build.
+void PrintTo(const planner_case& c, std::ostream* os) { *os << c.label; }
+
 class PlannerSweep : public ::testing::TestWithParam<planner_case> {};
 
 TEST_P(PlannerSweep, SubsetMeanConvergesToPopulationMean) {

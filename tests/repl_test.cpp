@@ -8,13 +8,17 @@
 // tools/run_tsan.sh runs it under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/durable_log.h"
 #include "core/sharded_coordinator.h"
 #include "core/zone_table.h"
 #include "geo/projection.h"
@@ -330,6 +334,25 @@ TEST(Replication, SnapshotCatchUpStreamsInBoundedChunks) {
   p.expect_states_bit_equal();
 }
 
+TEST(Replication, DamagedCatchUpSnapshotThrowsAndRestoresNothing) {
+  repl_pair p;
+  p.ingest(1.0e6, 3);
+  // A peer (or the network) flips the last byte of every snapshot chunk.
+  const repl::transport damaging = [&](std::string_view f) {
+    std::string reply = p.to_leader(f);
+    if (v3::peek_header(reply)->op == v3::opcode::snapshot_chunk) {
+      reply.back() = static_cast<char>(reply.back() ^ 0x01);
+    }
+    return reply;
+  };
+  EXPECT_THROW(p.fol.catch_up(damaging), std::invalid_argument);
+  EXPECT_TRUE(p.fc.keys().empty());
+  EXPECT_EQ(p.fol.applied_seq(), 0u);
+  // The undamaged stream still catches up afterwards.
+  p.fol.catch_up(p.to_leader);
+  p.expect_states_bit_equal();
+}
+
 TEST(Replication, ReplicaLagFaultSkipsThePollRound) {
   repl_pair p;
   p.ingest(1.0e6, 3);
@@ -376,6 +399,58 @@ TEST(Replication, EvictedLogTellsTheFollowerToSnapshot) {
   fol.catch_up(t);
   ASSERT_TRUE(fol.poll(t).has_value());
   EXPECT_EQ(fc.history(k).size(), lc.history(k).size());
+}
+
+TEST(Replication, LeaderRestartedFromACheckpointKeepsTheFollowersSequence) {
+  // A leader that checkpoints and then restarts must resume sequencing
+  // after the snapshot's fence. Recovering 0 instead would re-issue 1, 2,
+  // ... for new epochs, which a follower already holding those sequence
+  // numbers drops as duplicates.
+  const std::string dir = ::testing::TempDir() + "repl_fence_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  geo::projection proj(geo::lat_lon{43.0, -89.4});
+  geo::zone_grid grid(proj, 250.0);
+  const core::sharded_config scfg = repl_pair::sync_cfg();
+  core::sharded_coordinator fc(grid, {"NetB"}, scfg, 1);
+  repl::follower fol(fc);
+  const core::estimate_key k{{2, 2}, "NetB", trace::metric::rtt_s};
+  auto roll = [&](core::sharded_coordinator& c, repl::leader& l, int i) {
+    c.restore_estimate(k, make_est(100.0 * i, 0.1 * (i + 1), 5));
+    l.log().on_epoch(k, make_est(100.0 * i, 0.1 * (i + 1), 5));
+  };
+  {
+    core::sharded_coordinator lc(grid, {"NetB"}, scfg, 1);
+    core::durable_log wal(dir);
+    repl::leader lead(lc, repl::default_log_capacity, &wal);
+    proto::coordinator_server ls(lc);
+    ls.attach_replication(&lead);
+    for (int i = 0; i < 3; ++i) roll(lc, lead, i);
+    const auto pulled = fol.poll(
+        [&](std::string_view f) { return testing::serve(ls, f); });
+    ASSERT_TRUE(pulled.has_value());
+    EXPECT_EQ(*pulled, 3u);
+    wal.checkpoint(lc);
+  }  // the leader dies right after its checkpoint
+
+  core::sharded_coordinator lc(grid, {"NetB"}, scfg, 1);
+  core::durable_log wal(dir);
+  const std::uint64_t recovered = wal.recover(lc);
+  EXPECT_EQ(recovered, 3u);
+  repl::leader lead(lc, repl::default_log_capacity, &wal);
+  lead.log().reset(recovered + 1);
+  proto::coordinator_server ls(lc);
+  ls.attach_replication(&lead);
+  for (int i = 3; i < 5; ++i) roll(lc, lead, i);
+  const auto applied =
+      fol.poll([&](std::string_view f) { return testing::serve(ls, f); });
+  ASSERT_TRUE(applied.has_value());
+  EXPECT_EQ(*applied, 2u);
+  EXPECT_EQ(fol.applied_seq(), 5u);
+  EXPECT_EQ(fc.history(k).size(), 5u);
+  EXPECT_EQ(fc.history(k).size(), lc.history(k).size());
+  std::filesystem::remove_all(dir);
 }
 
 // ---- commutative + idempotent merges ---------------------------------------

@@ -1,9 +1,11 @@
-// Crash-consistency tests for the WAL/snapshot pair (ISSUE 10).
+// Crash-consistency tests for the WAL/snapshot pair.
 //
 // The torn-write corpus is the core: a WAL stream cut at EVERY byte
-// offset -- mid-header, mid-record, mid-checksum, and at each record
-// boundary -- must recover to exactly the last complete record, count
-// core.persist.wal_truncated once per damaged tail, and never crash.
+// offset -- mid-header, mid-length, mid-record, mid-checksum, and at each
+// record boundary -- must recover to exactly the last complete record,
+// count core.persist.wal_truncated once per damaged tail, and never crash.
+// The snapshot fence tests replay the crash between a checkpoint's rename
+// and its WAL reset, and a restart right after a checkpoint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "core/byte_codec.h"
 #include "core/durable_log.h"
+#include "core/epoch_record.h"
 #include "core/fault_injection.h"
 #include "core/sharded_coordinator.h"
 #include "geo/projection.h"
@@ -39,7 +43,7 @@ std::vector<wal_record> corpus_records() {
     r.seq = i;
     r.key = {{static_cast<int>(i % 3), -1}, "NetB",
              trace::metric::udp_throughput_bps};
-    // Deliberately awkward doubles: %.17g must round-trip them bit-exactly.
+    // Deliberately awkward doubles: raw-bit records round-trip them exactly.
     r.est.epoch_start_s = 300.0 * static_cast<double>(i) + 0.125;
     r.est.mean = 1.0e6 / 3.0 + static_cast<double>(i);
     r.est.stddev = 7.0 / 9.0;
@@ -89,7 +93,7 @@ TEST(Wal, TornTailCorpusRecoversToLastCompleteRecord) {
     std::vector<wal_record> applied;
     const std::uint64_t before = truncated_counter().value();
     const std::uint64_t last = core::wal_replay(
-        is, [&](std::uint64_t seq, const core::estimate_key& key,
+        is, 0, [&](std::uint64_t seq, const core::estimate_key& key,
                 const core::epoch_estimate& est) {
           applied.push_back({seq, key, est});
         });
@@ -115,18 +119,69 @@ TEST(Wal, BitRotInsideAValidLengthRecordIsCaughtByTheChecksum) {
   const std::vector<wal_record> recs = corpus_records();
   std::vector<std::size_t> ends;
   std::string full = render_corpus(recs, ends);
-  // Flip one digit inside the THIRD record's body: same length, bad sum.
-  full[ends[2] + 3] = full[ends[2] + 3] == '1' ? '2' : '1';
+  // Flip one bit of the THIRD record's mean (past its u32 length, u64 seq,
+  // zone, metric and epoch start): same length, bad sum.
+  full[ends[2] + 4 + 8 + 4 + 4 + 1 + 8 + 3] ^= 0x01;
 
   std::istringstream is(full);
   std::size_t applied = 0;
   const std::uint64_t before = truncated_counter().value();
   const std::uint64_t last = core::wal_replay(
-      is, [&](std::uint64_t, const core::estimate_key&,
-              const core::epoch_estimate&) { ++applied; });
+      is, 0, [&](std::uint64_t, const core::estimate_key&,
+                 const core::epoch_estimate&) { ++applied; });
   EXPECT_EQ(applied, 2u);  // stops before the rotten record
   EXPECT_EQ(last, 2u);
   EXPECT_EQ(truncated_counter().value() - before, 1u);
+}
+
+// Appends a record frame whose u32 length claims `len` bytes, `len` zero
+// bytes of body and a checksum that is valid for them.
+void append_frame(std::string& wal, std::uint32_t len) {
+  std::string frame;
+  core::put_u32(frame, len);
+  frame.append(len, '\0');
+  core::put_u32(frame, core::fnv1a32(frame));
+  wal += frame;
+}
+
+TEST(Wal, LengthPrefixBeyondOneRecordIsATornTail) {
+  const std::vector<wal_record> recs = corpus_records();
+  std::vector<std::size_t> ends;
+  const std::string two = render_corpus({recs[0], recs[1]}, ends);
+  // One length past the largest record (checksum valid, so only the bound
+  // can refuse it), one claiming ~4 GiB, one below the smallest record.
+  for (const std::uint32_t len :
+       {static_cast<std::uint32_t>(core::max_epoch_record_bytes + 1),
+        std::uint32_t{0xfffffff0}, std::uint32_t{3}}) {
+    std::string wal = two;
+    if (len < (1u << 20)) {
+      append_frame(wal, len);
+    } else {
+      core::put_u32(wal, len);  // the claim alone: the bytes never exist
+      wal += "tail";
+    }
+    std::istringstream is(wal);
+    std::size_t applied = 0;
+    const std::uint64_t before = truncated_counter().value();
+    const std::uint64_t last = core::wal_replay(
+        is, 0, [&](std::uint64_t, const core::estimate_key&,
+                   const core::epoch_estimate&) { ++applied; });
+    EXPECT_EQ(applied, 2u) << len;
+    EXPECT_EQ(last, 2u) << len;
+    EXPECT_EQ(truncated_counter().value() - before, 1u) << len;
+  }
+}
+
+TEST(Wal, RecordsAtOrBelowTheFenceAreSkipped) {
+  const std::vector<wal_record> recs = corpus_records();
+  std::vector<std::size_t> ends;
+  std::istringstream is(render_corpus(recs, ends));
+  std::vector<std::uint64_t> seqs;
+  const std::uint64_t last = core::wal_replay(
+      is, 3, [&](std::uint64_t seq, const core::estimate_key&,
+                 const core::epoch_estimate&) { seqs.push_back(seq); });
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{4, 5}));
+  EXPECT_EQ(last, 5u);
 }
 
 // ---- the on-disk pair ------------------------------------------------------
@@ -148,6 +203,22 @@ struct pair_fixture {
     return core::sharded_coordinator(grid, {"NetB"}, {}, 1);
   }
 };
+
+void expect_same_histories(const core::sharded_coordinator& a,
+                           const core::sharded_coordinator& b) {
+  ASSERT_EQ(b.keys().size(), a.keys().size());
+  for (const core::estimate_key& k : a.keys()) {
+    const auto ah = a.history(k);
+    const auto bh = b.history(k);
+    ASSERT_EQ(ah.size(), bh.size());
+    for (std::size_t i = 0; i < ah.size(); ++i) {
+      EXPECT_EQ(ah[i].epoch_start_s, bh[i].epoch_start_s);
+      EXPECT_EQ(ah[i].mean, bh[i].mean);
+      EXPECT_EQ(ah[i].stddev, bh[i].stddev);
+      EXPECT_EQ(ah[i].samples, bh[i].samples);
+    }
+  }
+}
 
 TEST(DurableLog, AppendCheckpointRecoverRoundTrip) {
   pair_fixture fx;
@@ -171,18 +242,7 @@ TEST(DurableLog, AppendCheckpointRecoverRoundTrip) {
   core::sharded_coordinator b = fx.make_coord();
   const std::uint64_t last = dl.recover(b);
   EXPECT_EQ(last, recs.back().seq);
-  ASSERT_EQ(b.keys().size(), a.keys().size());
-  for (const core::estimate_key& k : a.keys()) {
-    const auto ah = a.history(k);
-    const auto bh = b.history(k);
-    ASSERT_EQ(ah.size(), bh.size());
-    for (std::size_t i = 0; i < ah.size(); ++i) {
-      EXPECT_EQ(ah[i].epoch_start_s, bh[i].epoch_start_s);
-      EXPECT_EQ(ah[i].mean, bh[i].mean);
-      EXPECT_EQ(ah[i].stddev, bh[i].stddev);
-      EXPECT_EQ(ah[i].samples, bh[i].samples);
-    }
-  }
+  expect_same_histories(a, b);
 }
 
 TEST(DurableLog, InjectedAppendFaultLeavesTheTailIntact) {
@@ -255,10 +315,10 @@ std::string rendered(const std::vector<wal_record>& recs) {
 }
 
 std::vector<std::uint64_t> replayed_seqs(const std::string& path) {
-  std::ifstream is(path);
+  std::ifstream is(path, std::ios::binary);
   std::vector<std::uint64_t> seqs;
-  core::wal_replay(is, [&](std::uint64_t seq, const core::estimate_key&,
-                           const core::epoch_estimate&) {
+  core::wal_replay(is, 0, [&](std::uint64_t seq, const core::estimate_key&,
+                              const core::epoch_estimate&) {
     seqs.push_back(seq);
   });
   return seqs;
@@ -359,6 +419,58 @@ TEST(DurableLog, FailedWriteClosesTheStreamAndTheNextAppendReopens) {
   std::filesystem::remove(dl.wal_path());
   dl.append(recs[1].seq, recs[1].key, recs[1].est);
   EXPECT_EQ(slurp(dl.wal_path()), rendered({recs[1]}));
+}
+
+// ---- the snapshot fence ----------------------------------------------------
+
+TEST(DurableLog, CrashBetweenRenameAndWalResetRecoversExactly) {
+  pair_fixture fx;
+  core::sharded_coordinator a = fx.make_coord();
+  const std::vector<wal_record> recs = corpus_records();
+  {
+    core::durable_log dl(fx.dir);
+    for (std::size_t i = 0; i < 3; ++i) {
+      a.restore_estimate(recs[i].key, recs[i].est);
+      dl.append(recs[i].seq, recs[i].key, recs[i].est);
+    }
+    const std::string pre_checkpoint = slurp(dl.wal_path());
+    dl.checkpoint(a);
+    // The crash: the renamed snapshot is in place, but the WAL reset never
+    // happened, so the WAL still holds records the snapshot already has.
+    std::ofstream os(dl.wal_path(), std::ios::binary | std::ios::trunc);
+    os << pre_checkpoint;
+  }
+  core::durable_log dl(fx.dir);
+  core::sharded_coordinator b = fx.make_coord();
+  EXPECT_EQ(dl.recover(b), recs[2].seq);
+  expect_same_histories(a, b);  // 3 epochs, not 3 twice
+  std::size_t epochs = 0;
+  for (const core::estimate_key& k : b.keys()) epochs += b.history(k).size();
+  EXPECT_EQ(epochs, 3u);
+}
+
+TEST(DurableLog, CheckpointWithNoLaterAppendsRecoversTheFence) {
+  pair_fixture fx;
+  core::sharded_coordinator a = fx.make_coord();
+  const std::vector<wal_record> recs = corpus_records();
+  {
+    core::durable_log dl(fx.dir);
+    for (std::size_t i = 0; i < 3; ++i) {
+      a.restore_estimate(recs[i].key, recs[i].est);
+      dl.append(recs[i].seq, recs[i].key, recs[i].est);
+    }
+    dl.checkpoint(a);
+  }
+  // An empty WAL after the checkpoint: the covered sequence comes from the
+  // snapshot's fence alone...
+  core::durable_log dl(fx.dir);
+  core::sharded_coordinator b = fx.make_coord();
+  EXPECT_EQ(dl.recover(b), recs[2].seq);
+  expect_same_histories(a, b);
+  // ...and a checkpoint of the recovered state carries it forward.
+  dl.checkpoint(b);
+  core::sharded_coordinator c = fx.make_coord();
+  EXPECT_EQ(core::durable_log(fx.dir).recover(c), recs[2].seq);
 }
 
 }  // namespace

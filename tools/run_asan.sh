@@ -20,8 +20,11 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 
 # The parser stage also runs the server's merged dispatch: the pinned
 # golden corpus (both framings through the one request skeleton) and the
-# grouped-REPORT micro-batch, whose line cursor walks a raw block.
-parser_filter='WireParse*.*:ProtoCodec*.*:ProtoServer*.*:Fuzz/*.*:Csv.*:UnifiedHandle.*:NetSession.ReportGroup*'
+# grouped-REPORT micro-batch, whose line cursor walks a raw block. It also
+# runs the snapshot and WAL decoders: catch-up snapshots arrive from a peer
+# over TCP, and their cut-at-every-byte / flip-every-byte corpora walk the
+# same bounds-checked reader as the wire frames.
+parser_filter='WireParse*.*:ProtoCodec*.*:ProtoServer*.*:Fuzz/*.*:Csv.*:UnifiedHandle.*:NetSession.ReportGroup*:Persist.*:Wal.*'
 # The binary v3 codec reads length-prefixed fields straight out of raw
 # byte spans (memcpy'd fixed-width ints, u16-prefixed strings) -- the
 # truncation/patched-length corpus walks every cut point, so any decoder
