@@ -81,9 +81,15 @@ std::optional<measurement_task> coordinator::checkin(
     const geo::lat_lon& pos, double time_s, std::size_t network_index,
     std::size_t active_clients_in_zone, std::uint64_t client_id) {
   metrics().checkins.inc();
+  // Validate before touching state, as report() does: a zone outside the
+  // table's packed range (absurd or NaN coordinates) could never accept the
+  // report a task asks for, and neither kind of bad check-in may allocate
+  // zone state or spend a draw from the rng.
   const geo::zone_id z = grid_.zone_of(pos);
+  if (network_index >= networks_.size() || !zone_table::zone_in_range(z)) {
+    return std::nullopt;
+  }
   zone_state& st = state_of(z);
-  if (network_index >= networks_.size()) return std::nullopt;
 
   // How many samples has the open epoch of this zone's planning stream
   // accumulated? (Tracked on the probe kind we would issue next.)

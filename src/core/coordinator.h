@@ -125,7 +125,9 @@ class coordinator {
   /// Returns a task with probability (remaining samples needed this epoch) /
   /// (active clients), so the fleet collectively lands near the target.
   /// `client_id` identifies the device for per-client budget accounting
-  /// (0 = anonymous, never budget-limited).
+  /// (0 = anonymous, never budget-limited). An out-of-range network index
+  /// or a position outside the table's packed zone range answers nullopt
+  /// without touching any state.
   std::optional<measurement_task> checkin(const geo::lat_lon& pos,
                                           double time_s,
                                           std::size_t network_index,

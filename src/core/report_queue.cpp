@@ -83,20 +83,30 @@ void report_queue::put_locked(const trace::measurement_record& rec) {
   high_water_ = std::max(high_water_, static_cast<std::int64_t>(count_));
 }
 
-template <class Next>
-std::size_t report_queue::push_some(std::size_t n, Next next) {
+std::size_t report_queue::push(
+    std::span<const trace::measurement_record> recs,
+    std::span<const std::uint32_t> route, std::uint32_t lane) {
+  const std::size_t n =
+      route.empty() ? recs.size()
+                    : static_cast<std::size_t>(
+                          std::count(route.begin(), route.end(), lane));
+  if (n == 0) return 0;
   // The fault fires once per call, before anything is enqueued: a refused
-  // batch is all-or-nothing, so wire-level accounting (one ERR covers the
+  // call is all-or-nothing, so wire-level accounting (one ERR covers the
   // whole REPORTB frame) never half-ingests a frame.
   if (push_fault_fails()) {
     metrics().rejected.inc(n);
     return 0;
   }
   std::unique_lock lock(mu_);
-  std::size_t i = 0;
+  std::size_t i = 0;     // records enqueued
+  std::size_t next = 0;  // index of the next candidate in recs
   for (;;) {
     while (!closed_ && i < n && count_ < capacity_) {
-      put_locked(next());
+      if (!route.empty()) {
+        while (route[next] != lane) ++next;
+      }
+      put_locked(recs[next++]);
       ++i;
     }
     depth_.store(count_, std::memory_order_relaxed);
@@ -113,53 +123,6 @@ std::size_t report_queue::push_some(std::size_t n, Next next) {
   return i;
 }
 
-bool report_queue::push(trace::measurement_record rec) {
-  return push_some(1, [&]() -> const trace::measurement_record& {
-           return rec;
-         }) == 1;
-}
-
-bool report_queue::try_push(trace::measurement_record rec) {
-  if (push_fault_fails()) {
-    metrics().rejected.inc();
-    return false;
-  }
-  std::unique_lock lock(mu_);
-  if (closed_ || count_ >= capacity_) {
-    lock.unlock();
-    metrics().rejected.inc();
-    return false;
-  }
-  put_locked(rec);
-  depth_.store(count_, std::memory_order_relaxed);
-  lock.unlock();
-  not_empty_.notify_one();
-  return true;
-}
-
-std::size_t report_queue::push_batch(
-    std::span<const trace::measurement_record> recs) {
-  if (recs.empty()) return 0;
-  std::size_t i = 0;
-  return push_some(recs.size(),
-                   [&]() -> const trace::measurement_record& {
-                     return recs[i++];
-                   });
-}
-
-std::size_t report_queue::push_routed(
-    std::span<const trace::measurement_record> recs,
-    std::span<const std::uint32_t> route, std::uint32_t lane) {
-  const auto n = static_cast<std::size_t>(
-      std::count(route.begin(), route.end(), lane));
-  if (n == 0) return 0;
-  std::size_t i = 0;
-  return push_some(n, [&]() -> const trace::measurement_record& {
-    while (route[i] != lane) ++i;
-    return recs[i++];
-  });
-}
-
 std::size_t report_queue::pop_batch(std::vector<trace::measurement_record>& out,
                                     std::size_t max_batch) {
   std::unique_lock lock(mu_);
@@ -172,13 +135,11 @@ std::size_t report_queue::pop_batch(std::vector<trace::measurement_record>& out,
   count_ -= n;
   depth_.store(count_, std::memory_order_relaxed);
   publish_metrics_locked();
-  const bool emptied = count_ == 0;
   lock.unlock();
   if (n > 0) {
     not_full_.notify_all();
     metrics().dequeued.inc(n);
   }
-  if (emptied) emptied_.notify_all();
   return n;
 }
 
@@ -190,17 +151,6 @@ void report_queue::close() {
   }
   not_full_.notify_all();
   not_empty_.notify_all();
-  emptied_.notify_all();
-}
-
-void report_queue::wait_empty() const {
-  std::unique_lock lock(mu_);
-  emptied_.wait(lock, [this] { return count_ == 0 || closed_; });
-}
-
-bool report_queue::closed() const {
-  std::lock_guard lock(mu_);
-  return closed_;
 }
 
 }  // namespace wiscape::core

@@ -51,35 +51,23 @@ class report_queue {
   report_queue(const report_queue&) = delete;
   report_queue& operator=(const report_queue&) = delete;
 
-  /// Blocks while the queue is full. Returns true once the record is
-  /// enqueued, false if the queue was closed (record dropped).
-  bool push(trace::measurement_record rec);
-
-  /// Non-blocking push: returns false (record dropped) when the queue is
-  /// full or closed.
-  bool try_push(trace::measurement_record rec);
-
-  /// Enqueues a whole batch under one lock acquisition (and one metrics
-  /// delta), blocking while the queue is full -- batches larger than the
+  /// Enqueues the records of `recs` whose `route[i] == lane` (the spans are
+  /// parallel), or every record when `route` is empty: a router's
+  /// per-destination hand-off, copying each record once from the caller's
+  /// buffer into a slot. One lock acquisition and one metrics delta per
+  /// call, blocking while the queue is full -- more records than the
   /// remaining capacity are fed in capacity-sized gulps as consumers make
-  /// room. The batch is contiguous in FIFO order (no other producer's
+  /// room. The records land contiguous in FIFO order (no other producer's
   /// records interleave within one gulp). Returns the number of records
-  /// enqueued: recs.size() on success, fewer when the queue is closed
-  /// mid-batch (the remainder is dropped), or 0 when an injected fault
-  /// fires at the core::fault queue_push site (scenario fault storms; the
-  /// fault refuses the batch whole, before anything is enqueued). Callers
-  /// must count the shortfall against their drop accounting either way.
-  std::size_t push_batch(std::span<const trace::measurement_record> recs);
-
-  /// push_batch over the records of `recs` whose `route[i] == lane` (the
-  /// spans are parallel): a router's per-destination hand-off, copying each
-  /// record once from the caller's buffer into a slot with no regrouping.
-  /// Same blocking, contiguity, fault and drop semantics as push_batch, over
-  /// the routed subsequence. Returns the number of routed records enqueued;
-  /// 0 without locking (or firing the fault) when none is routed here.
-  std::size_t push_routed(std::span<const trace::measurement_record> recs,
-                          std::span<const std::uint32_t> route,
-                          std::uint32_t lane);
+  /// enqueued: all of them on success, fewer when the queue is closed
+  /// mid-call (the remainder is dropped), or 0 when an injected fault fires
+  /// at the core::fault queue_push site (scenario fault storms; the fault
+  /// refuses the call whole, before anything is enqueued). Returns 0
+  /// without locking (or firing the fault) when no record is selected.
+  /// Callers must count the shortfall against their drop accounting.
+  std::size_t push(std::span<const trace::measurement_record> recs,
+                   std::span<const std::uint32_t> route = {},
+                   std::uint32_t lane = 0);
 
   /// Pops up to `max_batch` records into `out` (appended), blocking until at
   /// least one record is available or the queue is closed. Returns the
@@ -91,11 +79,7 @@ class report_queue {
   /// remaining items and then see 0 from pop_batch. Idempotent.
   void close();
 
-  /// Blocks until the queue is empty (all enqueued items popped) or closed.
-  void wait_empty() const;
-
   std::size_t capacity() const noexcept { return capacity_; }
-  bool closed() const;
   /// Records enqueued, not yet popped. Lock-free (may lag a concurrent
   /// push or pop by that one operation).
   std::size_t size() const noexcept {
@@ -106,19 +90,14 @@ class report_queue {
   /// Pushes any un-published enqueue/high-water totals into the obs
   /// registry. Must be called with mu_ held; cheap when nothing is pending.
   void publish_metrics_locked();
-  /// Shared body of push/push_batch/push_routed: enqueues `n` records
-  /// drawn in order from `next()`, gulping through backpressure.
-  template <class Next>
-  std::size_t push_some(std::size_t n, Next next);
   /// Copies `rec` into the slot after the tail. Call with mu_ held and a
   /// free slot.
   void put_locked(const trace::measurement_record& rec);
 
   const std::size_t capacity_;
-  mutable std::mutex mu_;
-  mutable std::condition_variable not_full_;
-  mutable std::condition_variable not_empty_;
-  mutable std::condition_variable emptied_;
+  std::mutex mu_;
+  std::condition_variable not_full_;
+  std::condition_variable not_empty_;
   std::vector<trace::measurement_record> slots_;  ///< the ring, capacity_ long
   std::size_t head_ = 0;   ///< slot of the oldest record; guarded by mu_
   std::size_t count_ = 0;  ///< records in the ring; guarded by mu_

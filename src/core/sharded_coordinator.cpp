@@ -181,33 +181,7 @@ std::optional<measurement_task> sharded_coordinator::checkin(
 }
 
 bool sharded_coordinator::report(const trace::measurement_record& rec) {
-  if (stopped_.load(std::memory_order_relaxed)) {
-    metrics().dropped.inc();
-    return false;
-  }
-  shard& sh = owner_of(grid_.zone_of(rec.pos));
-  if (cfg_.synchronous) {
-    {
-      std::lock_guard lock(sh.mu);
-      apply_record(sh.coord, rec);
-      sh.enqueued.fetch_add(1, std::memory_order_relaxed);
-      sh.applied.fetch_add(1, std::memory_order_relaxed);
-      reports_received_.fetch_add(1, std::memory_order_relaxed);
-      sh.publish_routed_locked(metrics().routed);
-    }
-    sh.drained_metric.inc();
-    return true;
-  }
-  if (!sh.queue->push(rec)) {
-    metrics().dropped.inc();
-    return false;
-  }
-  // Hot path: no registry fetch-adds here. The routed counters are fed from
-  // `enqueued` deltas at drain/flush boundaries (publish_routed_locked), so
-  // snapshots may lag mid-run but are exact once the pipeline is flushed.
-  sh.enqueued.fetch_add(1, std::memory_order_relaxed);
-  reports_received_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  return report_batch({&rec, 1}) == 1;
 }
 
 std::size_t sharded_coordinator::report_batch(
@@ -250,11 +224,17 @@ std::size_t sharded_coordinator::ingest_group(
     shard& sh, std::span<const trace::measurement_record> recs,
     std::span<const std::uint32_t> route, std::uint32_t lane) {
   if (!cfg_.synchronous) {
-    const std::size_t pushed = route.empty()
-                                   ? sh.queue->push_batch(recs)
-                                   : sh.queue->push_routed(recs, route, lane);
+    // Hot path: no registry fetch-adds here. The routed counters are fed
+    // from `enqueued` deltas at drain/flush boundaries
+    // (publish_routed_locked), so snapshots may lag mid-run but are exact
+    // once the pipeline is flushed.
+    const std::size_t pushed = sh.queue->push(recs, route, lane);
     sh.enqueued.fetch_add(pushed, std::memory_order_relaxed);
     return pushed;
+  }
+  if (!route.empty() && std::find(route.begin(), route.end(), lane) ==
+                            route.end()) {
+    return 0;  // nothing routed here: leave the shard's lock alone
   }
   std::size_t n = 0;
   {
@@ -480,7 +460,7 @@ std::size_t sharded_coordinator::queue_depth() const noexcept {
 }
 
 double sharded_coordinator::ingest_saturation() const noexcept {
-  if (cfg_.synchronous || cfg_.queue_capacity == 0) return 0.0;
+  if (cfg_.synchronous) return 0.0;
   std::size_t worst = 0;
   for (const auto& sh : shards_) worst = std::max(worst, sh->queue->size());
   return std::min(1.0, static_cast<double>(worst) /

@@ -34,8 +34,8 @@
 //
 // Observability: the pipeline feeds the `core.sharded.*` metrics plus the
 // per-shard `core.sharded.shard<i>.{routed,drained}` family (src/obs/
-// names.h; reference table in docs/RUNBOOK.md). To keep report() free of
-// registry work, the routed counters are published as deltas of the
+// names.h; reference table in docs/RUNBOOK.md). To keep report_batch()
+// free of registry work, the routed counters are published as deltas of the
 // internal enqueue counter at drain and flush boundaries -- mid-run
 // snapshots can lag by up to one drain batch, but after flush() they
 // account for every report the pipeline accepted.
@@ -104,10 +104,10 @@ class sharded_coordinator {
                                           std::size_t active_clients_in_zone,
                                           std::uint64_t client_id = 0);
 
-  /// Ingests a completed measurement. Synchronous mode applies it inline;
-  /// otherwise it is enqueued for the owning shard's worker (blocking while
-  /// that shard's queue is full -- backpressure). Returns false only when
-  /// the pipeline has been stopped.
+  /// Ingests one completed measurement: report_batch({&rec, 1}) == 1.
+  /// Synchronous mode applies it inline; otherwise it is enqueued for the
+  /// owning shard's worker (blocking while that shard's queue is full --
+  /// backpressure). Returns false only when the pipeline has been stopped.
   bool report(const trace::measurement_record& rec);
 
   /// Batched ingestion: routes every record to its owning shard, then makes

@@ -70,6 +70,11 @@ net_metrics& metrics() {
   return m;
 }
 
+/// Pump calls between two samples of server_config::ingest_saturation.
+constexpr std::uint32_t kSaturationRefreshEvery = 64;
+/// Most bytes one epoll wake reads from a single socket (on_readable).
+constexpr std::size_t kReadDrainBudgetBytes = 256 * 1024;
+
 double now_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -139,8 +144,8 @@ struct tcp_server::event_loop {
   };
   std::unordered_map<int, std::unique_ptr<connection>> conns;
 
-  // Cached shed state (refreshed every saturation_refresh_every pumps).
-  double saturation = 0.0;
+  // Cached ingest saturation, refreshed every kSaturationRefreshEvery pumps.
+  double cached_saturation = 0.0;
   std::uint32_t pumps_since_refresh = 0;
 
   event_loop(tcp_server* srv, std::uint16_t port) : server(srv) {
@@ -181,12 +186,12 @@ struct tcp_server::event_loop {
     [[maybe_unused]] const ssize_t n = ::write(wake_fd, &one, sizeof one);
   }
 
-  shed_state shed() {
-    const auto& cfg = server->cfg_;
-    if (pumps_since_refresh++ % cfg.saturation_refresh_every == 0) {
-      saturation = cfg.ingest_saturation ? cfg.ingest_saturation() : 0.0;
+  double saturation() {
+    const auto& sample = server->cfg_.ingest_saturation;
+    if (pumps_since_refresh++ % kSaturationRefreshEvery == 0) {
+      cached_saturation = sample ? sample() : 0.0;
     }
-    return {cfg.policy, saturation, cfg.shed_start, cfg.shed_hard};
+    return cached_saturation;
   }
 
   void accept_all() {
@@ -321,20 +326,26 @@ struct tcp_server::event_loop {
     m.active_sessions.add(-1);
   }
 
-  /// Runs the session state machine over whatever is buffered and flushes
-  /// replies; closes the connection when the session says so.
-  void pump(connection& c) {
+  /// Runs the session state machine over whatever is buffered and
+  /// accounts what it did; false when the session must close.
+  bool pump_accounted(connection& c) {
     auto& m = metrics();
     pump_stats stats;
     const double t0 = now_s();
-    const bool keep = c.sess.pump(shed(), stats);
+    const bool keep = c.sess.pump(saturation(), stats);
     if (stats.dispatched > 0) m.read_latency.record(now_s() - t0);
-    if (stats.shed_queries > 0) m.shed_queries.inc(stats.shed_queries);
-    if (stats.shed_reports > 0) m.shed_reports.inc(stats.shed_reports);
-    if (stats.shed_queries + stats.shed_reports > 0) {
-      m.err_overload.inc(stats.shed_queries + stats.shed_reports);
+    if (const std::uint64_t shed = stats.shed_queries + stats.shed_reports) {
+      m.shed_queries.inc(stats.shed_queries);
+      m.shed_reports.inc(stats.shed_reports);
+      m.err_overload.inc(shed);
     }
-    if (!keep) {
+    return keep;
+  }
+
+  /// Pumps the session and flushes replies; closes the connection when the
+  /// session says so.
+  void pump(connection& c) {
+    if (!pump_accounted(c)) {
       close_conn(c.fd, c.sess.reason());
       return;
     }
@@ -387,7 +398,7 @@ struct tcp_server::event_loop {
         m.bytes_in.inc(static_cast<std::size_t>(n));
         drained += static_cast<std::size_t>(n);
         if (static_cast<std::size_t>(n) == offered &&
-            drained < server->cfg_.read_drain_budget_bytes) {
+            drained < kReadDrainBudgetBytes) {
           continue;
         }
         break;  // short read: the socket is drained (level-trigger re-arms)
@@ -404,13 +415,7 @@ struct tcp_server::event_loop {
     if (eof) {
       // Peer EOF: answer whatever complete requests are already buffered,
       // flush, then close (drain-on-disconnect).
-      pump_stats stats;
-      c.sess.pump(shed(), stats);
-      if (stats.shed_queries > 0) m.shed_queries.inc(stats.shed_queries);
-      if (stats.shed_reports > 0) m.shed_reports.inc(stats.shed_reports);
-      if (stats.shed_queries + stats.shed_reports > 0) {
-        m.err_overload.inc(stats.shed_queries + stats.shed_reports);
-      }
+      pump_accounted(c);
       close_conn(c.fd, close_reason::peer_eof);
       return;
     }
@@ -495,7 +500,6 @@ struct tcp_server::event_loop {
 tcp_server::tcp_server(proto::coordinator_server& handler, server_config cfg)
     : handler_(&handler), cfg_(std::move(cfg)) {
   if (cfg_.event_loops == 0) cfg_.event_loops = 1;
-  if (cfg_.saturation_refresh_every == 0) cfg_.saturation_refresh_every = 1;
 }
 
 tcp_server::~tcp_server() { stop(); }

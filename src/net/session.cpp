@@ -68,13 +68,16 @@ bool starts_with_report(const byte_ring& ring, std::size_t off) {
   return true;
 }
 
-/// Would the shed policy refuse a report-class request right now? Grouping
-/// steps aside under shed so the per-line ERR overload accounting stays
-/// exactly what per-line dispatch produces.
-bool sheds_reports(const shed_state& shed) {
-  return shed.saturation >= shed.start &&
-         (shed.saturation >= shed.hard ||
-          shed.policy == shed_policy::reports_first);
+/// Shed class of a v3 frame: report/reportb are report-class, query/queryb
+/// query-class, and every other opcode control (the handler answers reply
+/// opcodes with ERR itself).
+request_class classify(proto::v3::opcode op) noexcept {
+  using proto::v3::opcode;
+  if (op == opcode::report || op == opcode::reportb) {
+    return request_class::report;
+  }
+  if (op == opcode::query || op == opcode::queryb) return request_class::query;
+  return request_class::control;
 }
 
 }  // namespace
@@ -87,20 +90,11 @@ request_class classify(std::string_view type) noexcept {
   return request_class::control;
 }
 
-bool session::queue_reply(std::string_view reply) {
-  if (reply.size() + 1 > out_.headroom() || !out_.append(reply) ||
-      !out_.append('\n')) {
-    set_reason(close_reason::slow_reader);
-    return false;
-  }
-  ++replies_queued_;
-  return true;
-}
-
-bool session::queue_reply_frame(std::string_view frame) {
+bool session::queue_reply(std::string_view reply, bool binary) {
   // Binary frames are self-delimiting: no '\n' terminator -- an
   // interstitial byte would desynchronise the client's length-prefix cut.
-  if (frame.size() > out_.headroom() || !out_.append(frame)) {
+  if (reply.size() + (binary ? 0 : 1) > out_.headroom() ||
+      !out_.append(reply) || (!binary && !out_.append('\n'))) {
     set_reason(close_reason::slow_reader);
     return false;
   }
@@ -108,7 +102,32 @@ bool session::queue_reply_frame(std::string_view frame) {
   return true;
 }
 
-bool session::dispatch(std::size_t len, const shed_state& shed,
+bool session::queue_error(proto::err_code code, std::string_view detail,
+                          bool binary) {
+  rb_.clear();
+  if (binary) {
+    proto::v3::encode_error_frame(code, detail, rb_);
+  } else {
+    proto::encode_error_into(code, detail, rb_);
+  }
+  return queue_reply(rb_.view(), binary);
+}
+
+bool session::close_with(proto::err_code code, std::string_view detail,
+                         bool binary, close_reason why) {
+  queue_error(code, detail, binary);
+  set_reason(why);
+  return false;
+}
+
+bool session::queue_overload(request_class cls, bool binary,
+                             pump_stats& stats) {
+  ++(cls == request_class::query ? stats.shed_queries : stats.shed_reports);
+  return queue_error(proto::err_code::overload,
+                     "ingest saturated; retry with backoff", binary);
+}
+
+bool session::dispatch(std::size_t len, double saturation,
                        pump_stats& stats) {
   // The request view: everything up to (not including) the final newline.
   // Telnet-style CRLF is the protocol layer's business now: the final
@@ -119,33 +138,13 @@ bool session::dispatch(std::size_t len, const shed_state& shed,
 
   const std::string_view type = proto::message_type(req);
   if (require_hello_ && !saw_hello_ && type != "HELLO") {
-    rb_.clear();
-    proto::encode_error_into(proto::err_code::version,
-                             "HELLO required before any command", rb_);
-    queue_reply(rb_.view());
-    set_reason(close_reason::hello_violation);
-    return false;
+    return close_with(proto::err_code::version,
+                      "HELLO required before any command", false,
+                      close_reason::hello_violation);
   }
 
   const request_class cls = classify(type);
-  bool do_shed = false;
-  if (cls != request_class::control && shed.saturation >= shed.start) {
-    do_shed = shed.saturation >= shed.hard ||
-              (shed.policy == shed_policy::queries_first
-                   ? cls == request_class::query
-                   : cls == request_class::report);
-  }
-  if (do_shed) {
-    if (cls == request_class::query) {
-      ++stats.shed_queries;
-    } else {
-      ++stats.shed_reports;
-    }
-    rb_.clear();
-    proto::encode_error_into(proto::err_code::overload,
-                             "ingest saturated; retry with backoff", rb_);
-    return queue_reply(rb_.view());
-  }
+  if (sheds(cls, saturation)) return queue_overload(cls, false, stats);
 
   rb_.clear();
   // The line framer classified the request; tag it so the handler's
@@ -158,10 +157,10 @@ bool session::dispatch(std::size_t len, const shed_state& shed,
     // HELLO) re-decides it, matching the server's idempotent answer.
     hello_version_ = proto::decode_hello_reply(rb_.view()).version;
   }
-  return queue_reply(rb_.view());
+  return queue_reply(rb_.view(), false);
 }
 
-bool session::pump_binary(const shed_state& shed, pump_stats& stats,
+bool session::pump_binary(double saturation, pump_stats& stats,
                           bool* progressed) {
   *progressed = false;
   // Gate: a negotiation-first port only accepts binary frames on a session
@@ -169,16 +168,12 @@ bool session::pump_binary(const shed_state& shed, pump_stats& stats,
   // the in-process handler). The peer spoke binary, so the final ERR is a
   // binary err frame.
   if (require_hello_ && (!saw_hello_ || hello_version_ < 3)) {
-    rb_.clear();
-    proto::v3::encode_error_frame(
+    return close_with(
         proto::err_code::version,
         saw_hello_ ? "binary frames require a negotiated ver>=3 session"
                    : "HELLO required before any command",
-        rb_);
-    queue_reply_frame(rb_.view());
-    set_reason(saw_hello_ ? close_reason::bad_frame
-                          : close_reason::hello_violation);
-    return false;
+        true,
+        saw_hello_ ? close_reason::bad_frame : close_reason::hello_violation);
   }
   if (in_.size() < proto::v3::frame_header_bytes) {
     return true;  // header still arriving
@@ -192,24 +187,17 @@ bool session::pump_binary(const shed_state& shed, pump_stats& stats,
   if (!hdr) {
     // Magic byte with an undefined opcode: a hostile or desynchronised
     // peer. Same close as a hostile text frame header.
-    rb_.clear();
-    proto::v3::encode_error_frame(proto::err_code::parse,
-                                  "undefined binary frame opcode", rb_);
-    queue_reply_frame(rb_.view());
-    set_reason(close_reason::bad_frame);
-    return false;
+    return close_with(proto::err_code::parse, "undefined binary frame opcode",
+                      true, close_reason::bad_frame);
   }
   const std::size_t total = proto::v3::frame_header_bytes + hdr->payload_len;
   if (total > in_.max_bytes()) {
     // The declared length can never fit the read ring: refuse now, without
     // buffering (let alone allocating) any of it -- the oversize close a
     // runaway text line gets, decided 6 bytes in.
-    rb_.clear();
-    proto::v3::encode_error_frame(proto::err_code::parse,
-                                  "frame exceeds the read buffer cap", rb_);
-    queue_reply_frame(rb_.view());
-    set_reason(close_reason::oversize);
-    return false;
+    return close_with(proto::err_code::parse,
+                      "frame exceeds the read buffer cap", true,
+                      close_reason::oversize);
   }
   if (in_.size() < total) {
     binary_need_ = total;  // complete header, payload pending: mid-frame
@@ -218,47 +206,22 @@ bool session::pump_binary(const shed_state& shed, pump_stats& stats,
   binary_need_ = 0;
   const std::string_view frame = in_.linearize().substr(0, total);
 
-  // Shed classification mirrors the text path: report/reportb are
-  // report-class, query/queryb are query-class, reply opcodes (which the
-  // handler refuses anyway) are control.
-  request_class cls = request_class::control;
-  if (hdr->op == proto::v3::opcode::report ||
-      hdr->op == proto::v3::opcode::reportb) {
-    cls = request_class::report;
-  } else if (hdr->op == proto::v3::opcode::query ||
-             hdr->op == proto::v3::opcode::queryb) {
-    cls = request_class::query;
-  }
-  bool do_shed = false;
-  if (cls != request_class::control && shed.saturation >= shed.start) {
-    do_shed = shed.saturation >= shed.hard ||
-              (shed.policy == shed_policy::queries_first
-                   ? cls == request_class::query
-                   : cls == request_class::report);
-  }
+  const request_class cls = classify(hdr->op);
   bool ok;
-  if (do_shed) {
-    if (cls == request_class::query) {
-      ++stats.shed_queries;
-    } else {
-      ++stats.shed_reports;
-    }
-    rb_.clear();
-    proto::v3::encode_error_frame(proto::err_code::overload,
-                                  "ingest saturated; retry with backoff", rb_);
-    ok = queue_reply_frame(rb_.view());
+  if (sheds(cls, saturation)) {
+    ok = queue_overload(cls, true, stats);
   } else {
     rb_.clear();
     handler_->handle(proto::request_view::binary(frame), rb_);
     ++stats.dispatched;
-    ok = queue_reply_frame(rb_.view());
+    ok = queue_reply(rb_.view(), true);
   }
   in_.consume(total);
   *progressed = true;
   return ok;
 }
 
-bool session::pump(const shed_state& shed, pump_stats& stats) {
+bool session::pump(double saturation, pump_stats& stats) {
   for (;;) {
     // A new request whose first byte is the v3 magic is framed by its
     // length prefix, not by newline scan (0xB3 never starts a text
@@ -267,7 +230,7 @@ bool session::pump(const shed_state& shed, pump_stats& stats) {
     if (frame_lines_total_ == 0 && scan_ == 0 && !in_.empty() &&
         static_cast<unsigned char>(in_.at(0)) == proto::v3::frame_magic) {
       bool progressed = false;
-      if (!pump_binary(shed, stats, &progressed)) return false;
+      if (!pump_binary(saturation, stats, &progressed)) return false;
       if (!progressed) return true;  // frame incomplete: wait for bytes
       continue;  // whatever follows may be text or binary
     }
@@ -280,10 +243,9 @@ bool session::pump(const shed_state& shed, pump_stats& stats) {
         // Incomplete. A read ring at its cap that still holds no complete
         // request can never complete one: answer ERR and disconnect.
         if (in_.full()) {
-          queue_reply(proto::encode_error(
-              proto::err_code::parse, "request exceeds the read buffer cap"));
-          set_reason(close_reason::oversize);
-          return false;
+          return close_with(proto::err_code::parse,
+                            "request exceeds the read buffer cap", false,
+                            close_reason::oversize);
         }
         return true;
       }
@@ -292,10 +254,9 @@ bool session::pump(const shed_state& shed, pump_stats& stats) {
         char buf[64];
         const std::size_t n = payload_lines(header_prefix(in_, nl, buf));
         if (n == invalid_frame) {
-          queue_reply(proto::encode_error(proto::err_code::parse,
-                                          "malformed batch frame header"));
-          set_reason(close_reason::bad_frame);
-          return false;
+          return close_with(proto::err_code::parse,
+                            "malformed batch frame header", false,
+                            close_reason::bad_frame);
         }
         frame_lines_total_ = 1 + n;
         frame_lines_found_ = 0;
@@ -313,8 +274,10 @@ bool session::pump(const shed_state& shed, pump_stats& stats) {
     // other than hand the line to the handler (HELLO gate not yet
     // satisfied, report class being shed) so replies and accounting stay
     // byte-for-byte identical.
+    bool grouped = false;
     if (frame_lines_total_ == 1 && request_len >= 8 &&
-        (saw_hello_ || !require_hello_) && !sheds_reports(shed) &&
+        (saw_hello_ || !require_hello_) &&
+        !sheds(request_class::report, saturation) &&
         starts_with_report(in_, 0)) {
       std::size_t group_end = request_len;
       std::size_t count = 1;
@@ -340,15 +303,12 @@ bool session::pump(const shed_state& shed, pump_stats& stats) {
         stats.dispatched += count;
         stats.grouped_reports += count;
         replies_queued_ += count;
-        in_.consume(group_end);
-        scan_ = 0;
-        frame_lines_total_ = 0;
-        frame_lines_found_ = 0;
-        continue;
+        request_len = group_end;
+        grouped = true;
       }
     }
 
-    if (!dispatch(request_len, shed, stats)) return false;
+    if (!grouped && !dispatch(request_len, saturation, stats)) return false;
     in_.consume(request_len);
     scan_ = 0;
     frame_lines_total_ = 0;

@@ -15,10 +15,10 @@
 //   * HELLO gating -- when the server requires negotiation-first, any
 //     command before a successful HELLO answers "ERR version" and closes
 //     the session (docs/WIRE_PROTOCOL.md, transport rules);
-//   * backpressure -- per the shed policy, QUERY-class or REPORT-class
-//     requests are answered "ERR overload" without dispatching while the
-//     ingest pipeline is saturated, so the event loop never blocks behind
-//     a full report queue;
+//   * backpressure -- per the one shed rule (sheds()), QUERY-class and then
+//     REPORT-class requests are answered "ERR overload" without
+//     dispatching while the ingest pipeline is saturated, so the event
+//     loop never blocks behind a full report queue;
 //   * bounded-buffer policy -- a request that outgrows the read ring, or
 //     replies that outgrow the write ring (a slow reader), close the
 //     session with a typed reason the server counts.
@@ -37,12 +37,6 @@
 #include "proto/server.h"
 
 namespace wiscape::net {
-
-/// Which class of request the backpressure policy sheds first.
-enum class shed_policy {
-  queries_first,  ///< protect ingest: shed QUERY/QUERYB/ALERTS before reports
-  reports_first,  ///< protect serving: shed REPORT/REPORTB before queries
-};
 
 /// Why a session ended (drives the per-reason disconnect counters).
 enum class close_reason {
@@ -65,21 +59,28 @@ enum class request_class { query, report, control };
 /// HELLO, STATS, unknown) is control and never shed.
 request_class classify(std::string_view type) noexcept;
 
+/// Ingest saturation at or above which query-class requests are shed:
+/// reports are the product (the fleet feeds the estimate store), so
+/// queries degrade first.
+inline constexpr double kShedStart = 0.75;
+/// Saturation at or above which report-class requests are shed too.
+inline constexpr double kShedHard = 0.95;
+
+/// The shed rule, the one place it is decided: is a request of class `cls`
+/// answered "ERR overload" at ingest saturation `saturation` (in [0, 1])?
+/// Control requests never shed, so an operator can always STATS through
+/// an incident.
+constexpr bool sheds(request_class cls, double saturation) noexcept {
+  return cls == request_class::query    ? saturation >= kShedStart
+         : cls == request_class::report ? saturation >= kShedHard
+                                        : false;
+}
+
 /// Per-session buffer caps and protocol gates (server_config embeds one).
 struct session_limits {
   std::size_t read_buffer_bytes = 1u << 20;   ///< request cap (ring max)
   std::size_t write_buffer_bytes = 4u << 20;  ///< queued-replies cap
   bool require_hello = true;  ///< enforce HELLO-before-anything on this port
-};
-
-/// One pump() call's view of the backpressure state. The event loop caches
-/// the saturation value (refreshing it every few dispatches) so sessions
-/// never call into the coordinator on the fast path.
-struct shed_state {
-  shed_policy policy = shed_policy::queries_first;
-  double saturation = 0.0;  ///< core::sharded_coordinator::ingest_saturation
-  double start = 0.75;      ///< >= start: shed the policy's first class
-  double hard = 0.95;       ///< >= hard: shed both classes (control serves)
 };
 
 /// What one pump() call did, for the caller's metric accounting.
@@ -105,11 +106,13 @@ class session {
   /// Transmit ring: replies accumulate here until flushed to the socket.
   byte_ring& out() noexcept { return out_; }
 
-  /// Extracts and answers every complete request currently buffered.
+  /// Extracts and answers every complete request currently buffered,
+  /// shedding per sheds() at ingest saturation `saturation` (the event
+  /// loop's sample of core::sharded_coordinator::ingest_saturation).
   /// Replies (with a trailing '\n') are appended to out(). Returns false
   /// when the session must be disconnected -- reason() says why, and any
   /// final ERR reply is already in out() for a best-effort flush.
-  bool pump(const shed_state& shed, pump_stats& stats);
+  bool pump(double saturation, pump_stats& stats);
 
   close_reason reason() const noexcept { return reason_; }
   /// Records the close reason if none is set yet (first reason wins).
@@ -135,20 +138,28 @@ class session {
   }
 
  private:
-  /// Appends `reply` + '\n' to out(); false = write ring overflow.
-  bool queue_reply(std::string_view reply);
-  /// Appends a self-delimiting binary reply frame (no '\n') to out();
-  /// false = write ring overflow.
-  bool queue_reply_frame(std::string_view frame);
+  /// Appends `reply` to out(), '\n'-terminated unless it is a
+  /// self-delimiting binary frame; false = write ring overflow.
+  bool queue_reply(std::string_view reply, bool binary);
+  /// Queues an ERR reply in the request's framing; false = overflow.
+  bool queue_error(proto::err_code code, std::string_view detail,
+                   bool binary);
+  /// Queues a final ERR and records why the session must close (a write
+  /// ring overflow while queueing it wins, as the first reason). Returns
+  /// false, for `return close_with(...)` at a disconnect.
+  bool close_with(proto::err_code code, std::string_view detail, bool binary,
+                  close_reason why);
+  /// Counts a shed request of class `cls` and queues its ERR overload
+  /// reply (a binary err frame when `binary`); false = write ring overflow.
+  bool queue_overload(request_class cls, bool binary, pump_stats& stats);
   /// Handles one complete request of `len` bytes (including the final
   /// newline) sitting at the front of in(). Returns false to disconnect.
-  bool dispatch(std::size_t len, const shed_state& shed, pump_stats& stats);
+  bool dispatch(std::size_t len, double saturation, pump_stats& stats);
   /// The binary framing path: cuts/validates/dispatches v3 frames at the
   /// front of in(). Sets `*progressed` when one complete frame was handled
   /// (the pump loop re-enters for whatever follows). Returns false to
   /// disconnect.
-  bool pump_binary(const shed_state& shed, pump_stats& stats,
-                   bool* progressed);
+  bool pump_binary(double saturation, pump_stats& stats, bool* progressed);
 
   byte_ring in_;
   byte_ring out_;

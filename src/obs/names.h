@@ -13,12 +13,12 @@
 namespace wiscape::obs::names {
 
 // ---- core::report_queue ---------------------------------------------------
-/// Records successfully enqueued (push / try_push returned true). [reports]
+/// Records successfully enqueued by push. [reports]
 inline constexpr char kQueueEnqueued[] = "core.report_queue.enqueued";
 /// Records handed to consumers by pop_batch. [reports]
 inline constexpr char kQueueDequeued[] = "core.report_queue.dequeued";
-/// Pushes refused because the queue was closed (or try_push found it
-/// full). [reports]
+/// Records push refused: the queue was closed, or an injected queue_push
+/// fault refused the call. [reports]
 inline constexpr char kQueueRejected[] = "core.report_queue.rejected";
 /// push() calls that had to block on a full queue (backpressure events).
 inline constexpr char kQueueBlockedProducers[] =

@@ -185,11 +185,7 @@ bool coordinator_server::ingest(std::span<trace::measurement_record> recs) {
                              ? recs[i - 1].network_id
                              : coordinator_->network_id_of(recs[i].network);
   }
-  // One record goes straight to its shard, skipping report_batch's routing
-  // pass.
-  const bool accepted = recs.size() == 1
-                            ? coordinator_->report(recs[0])
-                            : coordinator_->report_batch(recs) == recs.size();
+  const bool accepted = coordinator_->report_batch(recs) == recs.size();
   if (accepted) {
     reports_.fetch_add(recs.size(), std::memory_order_relaxed);
     metrics().reports.inc(recs.size());

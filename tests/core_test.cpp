@@ -319,6 +319,35 @@ TEST(Coordinator, ExtremeCoordinatesRejectedNotThrown) {
             1u);
 }
 
+TEST(Coordinator, CheckinOutsideTheZoneRangeIsNeverTasked) {
+  // Regression: check-ins were validated only after the zone state was
+  // created, and never against the table's zone range, so a NaN or absurd
+  // position was tasked -- spending an rng draw on a task whose report is
+  // always rejected.
+  auto coord = make_coordinator();
+  auto twin = make_coordinator();
+  const double nan = std::nan("");
+  const geo::lat_lon bad[] = {{nan, nan},
+                              {nan, here.lon_deg},
+                              {here.lat_deg, nan},
+                              {1e9, -1e9},
+                              {here.lat_deg, INFINITY}};
+  for (int i = 0; i < 100; ++i) {
+    for (const auto& pos : bad) {
+      EXPECT_FALSE(coord.checkin(pos, 100.0 + i, 0, 1));
+    }
+  }
+  // No draw was spent: a twin that never saw them tasks identically.
+  for (int i = 0; i < 64; ++i) {
+    const auto a = coord.checkin(here, 200.0 + i, 0, 20);
+    const auto b = twin.checkin(here, 200.0 + i, 0, 20);
+    ASSERT_EQ(a.has_value(), b.has_value()) << "check-in " << i;
+    if (a) {
+      EXPECT_EQ(a->kind, b->kind);
+    }
+  }
+}
+
 TEST(Coordinator, InternerExhaustionRejectsNewNetworksNotThrows) {
   // Regression (review of ISSUE 4): network names are attacker-controlled
   // free-form strings, so reports naming more than max_networks distinct

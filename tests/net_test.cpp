@@ -1,5 +1,5 @@
 // The TCP front end: byte_ring mechanics, the socket-free session state
-// machine (framing, HELLO gating, shed policy, bounded buffers), and the
+// machine (framing, HELLO gating, shed rule, bounded buffers), and the
 // epoll server end-to-end over real loopback sockets (round trips, idle
 // timeout mid-frame, drain-on-disconnect, concurrent sessions).
 #include <gtest/gtest.h>
@@ -233,7 +233,7 @@ TEST(NetSession, SlowReaderDisconnects) {
   EXPECT_EQ(s.reason(), close_reason::slow_reader);
 }
 
-// ---- shed policy --------------------------------------------------------
+// ---- shed rule ----------------------------------------------------------
 
 TEST(NetSession, ClassifyRequestClasses) {
   EXPECT_EQ(classify("QUERY"), request_class::query);
@@ -253,46 +253,31 @@ TEST(NetSession, ShedPolicyAccounting) {
   lim.require_hello = false;
   session s(lim, fx.server);
 
-  shed_state shed;
-  shed.policy = shed_policy::queries_first;
-  shed.saturation = 0.8;  // past start, below hard
-
   pump_stats stats;
-  // Query-class sheds without dispatching; report-class still lands.
+  // Past start, below hard: query-class sheds without dispatching;
+  // report-class still lands.
   ASSERT_TRUE(s.in().append("QUERY lat=43.07 lon=-89.4 net=NetB "
                             "metric=tcp_throughput t=1\n"));
   ASSERT_TRUE(s.in().append(report_frame(2) + "\n"));
-  EXPECT_TRUE(s.pump(shed, stats));
+  EXPECT_TRUE(s.pump(0.8, stats));
   EXPECT_EQ(stats.shed_queries, 1u);
   EXPECT_EQ(stats.shed_reports, 0u);
   EXPECT_EQ(stats.dispatched, 1u);
   EXPECT_EQ(fx.server.reports_received(), 2u);
   EXPECT_NE(ring_text(s.out()).find("ERR overload"), std::string::npos);
 
-  // reports_first inverts which class is protected.
-  session s2(lim, fx.server);
-  shed.policy = shed_policy::reports_first;
-  pump_stats stats2;
-  ASSERT_TRUE(s2.in().append(report_frame(2) + "\n"));
-  ASSERT_TRUE(s2.in().append("QUERY lat=43.07 lon=-89.4 net=NetB "
-                             "metric=tcp_throughput t=1\n"));
-  EXPECT_TRUE(s2.pump(shed, stats2));
-  EXPECT_EQ(stats2.shed_reports, 1u);  // one REPORTB frame, one decision
-  EXPECT_EQ(stats2.shed_queries, 0u);
-  EXPECT_EQ(stats2.dispatched, 1u);
-
   // Past the hard threshold both classes shed; control still serves.
   session s3(lim, fx.server);
-  shed.saturation = 0.99;
   pump_stats stats3;
   ASSERT_TRUE(s3.in().append("QUERY lat=43.07 lon=-89.4 net=NetB "
                              "metric=tcp_throughput t=1\n"));
   ASSERT_TRUE(s3.in().append(report_frame(1) + "\n"));
   ASSERT_TRUE(s3.in().append("STATS\n"));
-  EXPECT_TRUE(s3.pump(shed, stats3));
+  EXPECT_TRUE(s3.pump(0.99, stats3));
   EXPECT_EQ(stats3.shed_queries, 1u);
-  EXPECT_EQ(stats3.shed_reports, 1u);
-  EXPECT_EQ(stats3.dispatched, 1u);  // the STATS
+  EXPECT_EQ(stats3.shed_reports, 1u);  // one REPORTB frame, one decision
+  EXPECT_EQ(stats3.dispatched, 1u);    // the STATS
+  EXPECT_EQ(fx.server.reports_received(), 2u);
 }
 
 // ---- real sockets -------------------------------------------------------
@@ -448,7 +433,6 @@ TEST(TcpServer, ShedsQueriesUnderSaturation) {
   cfg.event_loops = 1;
   cfg.limits.require_hello = false;
   cfg.ingest_saturation = [] { return 0.9; };
-  cfg.saturation_refresh_every = 1;
   tcp_server srv(fx.server, cfg);
   srv.start();
 
@@ -457,7 +441,7 @@ TEST(TcpServer, ShedsQueriesUnderSaturation) {
   client.connect("127.0.0.1", srv.port());
   EXPECT_EQ(client.request("ALERTS since=0 max=4").substr(0, 12),
             "ERR overload");
-  // Report-class still lands under queries_first.
+  // Report-class still lands below the hard threshold.
   EXPECT_EQ(proto::message_type(client.request(report_frame(2))), "ACK");
   EXPECT_GE(counter_value(obs::names::kNetShedQueries), shed0 + 1);
   client.close();
@@ -923,14 +907,10 @@ TEST(NetSession, BinaryFramesShedByOpcodeClass) {
   lim.require_hello = false;
   session s(lim, fx.server);
 
-  shed_state shed;
-  shed.policy = shed_policy::queries_first;
-  shed.saturation = 0.8;
-
   pump_stats stats;
   ASSERT_TRUE(s.in().append(binary_query_frame()));
   ASSERT_TRUE(s.in().append(binary_report_frame(2)));
-  EXPECT_TRUE(s.pump(shed, stats));
+  EXPECT_TRUE(s.pump(0.8, stats));
   EXPECT_EQ(stats.shed_queries, 1u);
   EXPECT_EQ(stats.shed_reports, 0u);
   EXPECT_EQ(stats.dispatched, 1u);
@@ -942,6 +922,131 @@ TEST(NetSession, BinaryFramesShedByOpcodeClass) {
   EXPECT_EQ(proto::v3::decode_error_frame(frames[0]).code,
             proto::err_code::overload);
   EXPECT_TRUE(proto::v3::decode_ack_frame(frames[1]).batched);
+}
+
+TEST(NetSession, ShedRuleThresholds) {
+  EXPECT_FALSE(sheds(request_class::query, 0.7499));
+  EXPECT_TRUE(sheds(request_class::query, kShedStart));
+  EXPECT_FALSE(sheds(request_class::report, 0.9499));
+  EXPECT_TRUE(sheds(request_class::report, kShedHard));
+  EXPECT_TRUE(sheds(request_class::report, 1.0));
+  EXPECT_FALSE(sheds(request_class::control, 1.0));
+}
+
+// Every request shape through one session pump at three saturations: below
+// the shed start, between start and hard, and past hard. A shed request is
+// answered ERR overload in its own framing, counted once per request (one
+// REPORTB frame is one decision; a run of REPORT lines leaves the group
+// path and sheds line by line), and ingests nothing.
+TEST(NetSession, ShedTable) {
+  proto::query_request q;
+  q.pos = here;
+  q.network = "NetB";
+  q.metric = trace::metric::udp_throughput_bps;
+  q.time_s = 200.0;
+  const std::vector<proto::query_request> qs = {q, q};
+  proto::measurement_report rep;
+  rep.client_id = 7;
+  rep.record = testing::make_record(300.0, "NetB", here,
+                                    trace::probe_kind::udp_burst, 1.0e6);
+  proto::checkin_request chk;
+  chk.client_id = 7;
+  chk.pos = here;
+  chk.time_s = 300.0;
+  std::string run;
+  for (int i = 0; i < 3; ++i) run += report_line(310.0 + i) + "\n";
+
+  struct row {
+    const char* name;
+    std::string bytes;
+    request_class cls;
+    bool binary;
+    std::uint64_t requests;  // replies (and shed decisions when shed)
+    std::uint64_t records;   // reports ingested when served
+    std::uint64_t grouped;   // of requests, served through the group path
+  };
+  const row rows[] = {
+      {"text QUERY", proto::encode(q) + "\n", request_class::query, false, 1,
+       0, 0},
+      {"text QUERYB", proto::encode_query_batch(qs) + "\n",
+       request_class::query, false, 1, 0, 0},
+      {"ALERTS", "ALERTS since=0 max=4\n", request_class::query, false, 1, 0,
+       0},
+      {"REPORT", report_line(305.0) + "\n", request_class::report, false, 1, 1,
+       0},
+      {"REPORT run", run, request_class::report, false, 3, 3, 3},
+      {"text REPORTB", report_frame(2, 320.0) + "\n", request_class::report,
+       false, 1, 2, 0},
+      {"v3 QUERY", proto::v3::encode_query_frame(q), request_class::query,
+       true, 1, 0, 0},
+      {"v3 QUERYB", proto::v3::encode_query_batch_frame(qs),
+       request_class::query, true, 1, 0, 0},
+      {"v3 REPORT", proto::v3::encode_report_frame(rep),
+       request_class::report, true, 1, 1, 0},
+      {"v3 REPORTB", binary_report_frame(2, 330.0), request_class::report,
+       true, 1, 2, 0},
+      {"CHECKIN", proto::encode(chk) + "\n", request_class::control, false, 1,
+       0, 0},
+      {"STATS", "STATS\n", request_class::control, false, 1, 0, 0},
+      {"HELLO", "HELLO ver=3\n", request_class::control, false, 1, 0, 0},
+  };
+  struct level {
+    double saturation;
+    bool queries_shed;
+    bool reports_shed;
+  };
+  const level levels[] = {{0.5, false, false}, {0.8, true, false},
+                          {0.99, true, true}};
+
+  const std::string text_err =
+      proto::encode_error(proto::err_code::overload,
+                          "ingest saturated; retry with backoff") +
+      "\n";
+  handler_fixture fx;
+  session_limits lim;
+  lim.require_hello = false;
+  for (const level& lv : levels) {
+    for (const row& r : rows) {
+      SCOPED_TRACE(std::string(r.name) + " at saturation " +
+                   std::to_string(lv.saturation));
+      const bool shed = (r.cls == request_class::query && lv.queries_shed) ||
+                        (r.cls == request_class::report && lv.reports_shed);
+      session s(lim, fx.server);
+      pump_stats stats;
+      const std::uint64_t reports0 = fx.server.reports_received();
+      ASSERT_TRUE(s.in().append(r.bytes));
+      ASSERT_TRUE(s.pump(lv.saturation, stats));
+      EXPECT_TRUE(s.in().empty());
+      EXPECT_EQ(s.take_queued_replies(), r.requests);
+      const std::uint64_t want_shed = shed ? r.requests : 0;
+      EXPECT_EQ(stats.shed_queries,
+                r.cls == request_class::query ? want_shed : 0u);
+      EXPECT_EQ(stats.shed_reports,
+                r.cls == request_class::report ? want_shed : 0u);
+      EXPECT_EQ(stats.dispatched, shed ? 0u : r.requests);
+      EXPECT_EQ(stats.grouped_reports, shed ? 0u : r.grouped);
+      EXPECT_EQ(fx.server.reports_received() - reports0,
+                shed ? 0u : r.records);
+      const std::string out = ring_text(s.out());
+      if (r.binary) {
+        const auto frames = split_frames(out);
+        ASSERT_EQ(frames.size(), r.requests);
+        const bool is_err =
+            proto::v3::peek_header(frames[0])->op == proto::v3::opcode::err;
+        EXPECT_EQ(is_err, shed);
+        if (shed) {
+          EXPECT_EQ(proto::v3::decode_error_frame(frames[0]).code,
+                    proto::err_code::overload);
+        }
+      } else if (shed) {
+        std::string want;
+        for (std::uint64_t i = 0; i < r.requests; ++i) want += text_err;
+        EXPECT_EQ(out, want);
+      } else {
+        EXPECT_EQ(out.find("ERR"), std::string::npos) << out;
+      }
+    }
+  }
 }
 
 TEST(TcpServer, MixedTextAndBinaryPipelinedSessionCoalesces) {

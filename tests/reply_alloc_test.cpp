@@ -15,7 +15,11 @@
 // calling thread routes each frame into the shards' queues. Only the
 // calling thread's allocations count (the flag is thread-local); the drain
 // workers' table growth is theirs, not the hand-off's.
+//
+// A third gate covers refused check-ins: an invalid network index or an
+// out-of-range position answers IDLE without creating zone state.
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -269,6 +273,35 @@ int main() {
   acoord.flush();
   CHECK(acoord.reports_ingested() == acoord.reports_received());
   CHECK(acoord.reports_received() == 64u * (1 + 2 * (3 + kIters)));
+  CHECK(failures == 0);
+
+  // ---- check-ins refused before any state is touched ---------------------
+  // An invalid network index or a position outside the table's zone range
+  // answers IDLE without creating zone state: distinct zones, 0 allocations.
+  const double nan = std::nan("");
+  const struct {
+    const char* name;
+    std::size_t network_index;
+    bool bad_position;
+  } refused[] = {{"bad-index CHECKIN", dep.names().size(), false},
+                 {"NaN-pos CHECKIN", 0, true}};
+  for (const auto& tc : refused) {
+    g_allocs.store(0);
+    g_count_allocs = true;
+    std::size_t tasked = 0;
+    for (int i = 0; i < 1000; ++i) {
+      const geo::lat_lon pos =
+          tc.bad_position ? geo::lat_lon{nan, here.lon_deg + 0.003 * i}
+                          : geo::lat_lon{here.lat_deg + 0.003 * i,
+                                         here.lon_deg};
+      if (coord.checkin(pos, 30000.0 + i, tc.network_index, 1)) ++tasked;
+    }
+    g_count_allocs = false;
+    const std::uint64_t allocs = g_allocs.load();
+    std::printf("  %-18s 1000 zones, %zu tasked, %llu heap allocations\n",
+                tc.name, tasked, static_cast<unsigned long long>(allocs));
+    if (allocs != 0 || tasked != 0) ++failures;
+  }
   CHECK(failures == 0);
   std::printf("reply_alloc_test: all request types allocation-free\n");
   return 0;

@@ -24,13 +24,18 @@ trace::measurement_record tagged(std::uint64_t producer, double seq) {
   return r;
 }
 
+// Pushes one record; true once it is enqueued.
+bool push_one(report_queue& q, const trace::measurement_record& rec) {
+  return q.push({&rec, 1}) == 1;
+}
+
 TEST(ReportQueue, RejectsZeroCapacity) {
   EXPECT_THROW(report_queue(0), std::invalid_argument);
 }
 
 TEST(ReportQueue, SingleThreadFifo) {
   report_queue q(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.push(tagged(1, i)));
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(push_one(q, tagged(1, i)));
   EXPECT_EQ(q.size(), 5u);
   std::vector<trace::measurement_record> out;
   EXPECT_EQ(q.pop_batch(out, 3), 3u);
@@ -49,7 +54,7 @@ TEST(ReportQueue, FifoPerProducerUnderConcurrency) {
   for (std::uint64_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&q, p] {
       for (std::size_t i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.push(tagged(p, static_cast<double>(i))));
+        ASSERT_TRUE(push_one(q, tagged(p, static_cast<double>(i))));
       }
     });
   }
@@ -79,13 +84,12 @@ TEST(ReportQueue, FifoPerProducerUnderConcurrency) {
 
 TEST(ReportQueue, FullQueueBlocksProducerUntilConsumed) {
   report_queue q(2);
-  ASSERT_TRUE(q.push(tagged(1, 0)));
-  ASSERT_TRUE(q.push(tagged(1, 1)));
-  EXPECT_FALSE(q.try_push(tagged(1, 99)));  // full: non-blocking push fails
+  ASSERT_TRUE(push_one(q, tagged(1, 0)));
+  ASSERT_TRUE(push_one(q, tagged(1, 1)));
 
   std::atomic<bool> third_pushed{false};
   std::thread producer([&] {
-    ASSERT_TRUE(q.push(tagged(1, 2)));  // blocks until the consumer pops
+    ASSERT_TRUE(push_one(q, tagged(1, 2)));  // blocks until the consumer pops
     third_pushed.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -102,10 +106,9 @@ TEST(ReportQueue, FullQueueBlocksProducerUntilConsumed) {
 
 TEST(ReportQueue, CloseDrainsEnqueuedItemsThenReturnsZero) {
   report_queue q(16);
-  for (int i = 0; i < 7; ++i) ASSERT_TRUE(q.push(tagged(1, i)));
+  for (int i = 0; i < 7; ++i) ASSERT_TRUE(push_one(q, tagged(1, i)));
   q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.push(tagged(1, 100)));  // no new items after close
+  EXPECT_FALSE(push_one(q, tagged(1, 100)));  // no new items after close
 
   std::vector<trace::measurement_record> out;
   EXPECT_EQ(q.pop_batch(out, 4), 4u);
@@ -117,9 +120,9 @@ TEST(ReportQueue, CloseDrainsEnqueuedItemsThenReturnsZero) {
 
 TEST(ReportQueue, CloseUnblocksWaitingProducerAndConsumer) {
   report_queue q(1);
-  ASSERT_TRUE(q.push(tagged(1, 0)));
+  ASSERT_TRUE(push_one(q, tagged(1, 0)));
   std::thread blocked_producer([&] {
-    EXPECT_FALSE(q.push(tagged(1, 1)));  // full; close() must release it
+    EXPECT_FALSE(push_one(q, tagged(1, 1)));  // full; close() must release it
   });
   report_queue empty_q(1);
   std::thread blocked_consumer([&] {
@@ -137,12 +140,12 @@ TEST(ReportQueue, PushBatchEnqueuesAllInOrder) {
   report_queue q(64);
   std::vector<trace::measurement_record> batch;
   for (int i = 0; i < 10; ++i) batch.push_back(tagged(1, i));
-  EXPECT_EQ(q.push_batch(batch), 10u);
+  EXPECT_EQ(q.push(batch), 10u);
   EXPECT_EQ(q.size(), 10u);
   std::vector<trace::measurement_record> out;
   EXPECT_EQ(q.pop_batch(out, 100), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(out[i].time_s, i);
-  EXPECT_EQ(q.push_batch({}), 0u);  // empty batch is a no-op
+  EXPECT_EQ(q.push({}), 0u);  // empty batch is a no-op
 }
 
 TEST(ReportQueue, PushBatchLargerThanCapacityFeedsThroughBackpressure) {
@@ -163,7 +166,7 @@ TEST(ReportQueue, PushBatchLargerThanCapacityFeedsThroughBackpressure) {
       drained.insert(drained.end(), out.begin(), out.end());
     }
   });
-  EXPECT_EQ(q.push_batch(batch), kBatch);
+  EXPECT_EQ(q.push(batch), kBatch);
   q.close();
   consumer.join();
   ASSERT_EQ(drained.size(), kBatch);
@@ -182,8 +185,8 @@ TEST(ReportQueue, PushBatchStaysContiguousAcrossProducers) {
     }
     return batch;
   };
-  std::thread a([&] { EXPECT_EQ(q.push_batch(make(1)), kBatch); });
-  std::thread b([&] { EXPECT_EQ(q.push_batch(make(2)), kBatch); });
+  std::thread a([&] { EXPECT_EQ(q.push(make(1)), kBatch); });
+  std::thread b([&] { EXPECT_EQ(q.push(make(2)), kBatch); });
   a.join();
   b.join();
   std::vector<trace::measurement_record> out;
@@ -206,21 +209,8 @@ TEST(ReportQueue, PushBatchAfterCloseDropsEverything) {
   report_queue q(8);
   q.close();
   std::vector<trace::measurement_record> batch{tagged(1, 0), tagged(1, 1)};
-  EXPECT_EQ(q.push_batch(batch), 0u);
+  EXPECT_EQ(q.push(batch), 0u);
   EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(ReportQueue, WaitEmptyReturnsOnceConsumed) {
-  report_queue q(8);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.push(tagged(1, i)));
-  std::thread consumer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    std::vector<trace::measurement_record> out;
-    q.pop_batch(out, 8);
-  });
-  q.wait_empty();
-  EXPECT_EQ(q.size(), 0u);
-  consumer.join();
 }
 
 TEST(ReportQueue, PushRoutedEnqueuesOnlyItsLaneInOrder) {
@@ -230,9 +220,9 @@ TEST(ReportQueue, PushRoutedEnqueuesOnlyItsLaneInOrder) {
   for (std::size_t i = 0; i < route.size(); ++i) {
     recs.push_back(tagged(route[i], static_cast<double>(i)));
   }
-  EXPECT_EQ(q.push_routed(recs, route, 3), 0u);  // no record for lane 3
-  EXPECT_EQ(q.push_routed(recs, route, 1), 3u);
-  EXPECT_EQ(q.push_routed(recs, route, 0), 2u);
+  EXPECT_EQ(q.push(recs, route, 3), 0u);  // no record for lane 3
+  EXPECT_EQ(q.push(recs, route, 1), 3u);
+  EXPECT_EQ(q.push(recs, route, 0), 2u);
   std::vector<trace::measurement_record> out;
   EXPECT_EQ(q.pop_batch(out, 100), 5u);
   const std::vector<double> want{0, 2, 3, 1, 4};
@@ -243,7 +233,8 @@ TEST(ReportQueue, PushRoutedEnqueuesOnlyItsLaneInOrder) {
 }
 
 // Property test of the ring's index arithmetic: seeded random interleavings
-// of every push flavour against pop_batch of random sizes, checked step by
+// of every push shape (one record, a whole batch, a routed lane, a route
+// selecting nothing) against pop_batch of random sizes, checked step by
 // step against a std::deque reference model over many full wraps. Batches
 // that do not fit (including ones larger than the capacity) need a
 // concurrent consumer; it pops a chosen number of records in random gulps,
@@ -315,27 +306,26 @@ TEST(ReportQueue, RingWrapsMatchADequeModel) {
         ++steps;
         const std::size_t free = cap - model.size();
         switch (uniform(0, 4)) {
-          case 0:  // blocking push, only when it cannot block
+          case 0:  // one record, only when it cannot block
             if (free == 0) break;
             {
-              auto r = make();
+              const auto r = make();
               model.push_back(view(r));
-              ASSERT_TRUE(q.push(std::move(r)));
+              ASSERT_TRUE(push_one(q, r));
               ++pushed;
             }
             break;
-          case 1: {
-            auto r = make();
-            const rec_view v = view(r);
-            const bool ok = q.try_push(std::move(r));
-            ASSERT_EQ(ok, free > 0);
-            if (ok) {
-              model.push_back(v);
-              ++pushed;
+          case 1: {  // a route selecting nothing: no-op, even when full
+            std::vector<trace::measurement_record> batch(uniform(1, cap));
+            std::vector<std::uint32_t> route(batch.size());
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+              batch[i] = make();
+              route[i] = i % 2 == 0 ? 0 : 2;
             }
+            ASSERT_EQ(q.push(batch, route, 1), 0u);
             break;
           }
-          case 2: {  // push_batch, sometimes larger than the capacity
+          case 2: {  // all of a batch, sometimes larger than the capacity
             std::vector<trace::measurement_record> batch(uniform(1, 2 * cap + 1));
             for (auto& r : batch) {
               r = make();
@@ -343,14 +333,14 @@ TEST(ReportQueue, RingWrapsMatchADequeModel) {
             }
             pushed += batch.size();
             if (batch.size() <= free) {
-              ASSERT_EQ(q.push_batch(batch), batch.size());
+              ASSERT_EQ(q.push(batch), batch.size());
             } else {
               push_with_consumer(batch.size(),
-                                 [&] { return q.push_batch(batch); });
+                                 [&] { return q.push(batch); });
             }
             break;
           }
-          case 3: {  // push_routed: only lane 1 of a mixed batch lands
+          case 3: {  // routed: only lane 1 of a mixed batch lands
             std::vector<trace::measurement_record> batch(uniform(1, 2 * cap + 1));
             std::vector<std::uint32_t> route(batch.size());
             std::size_t mine = 0;
@@ -364,10 +354,10 @@ TEST(ReportQueue, RingWrapsMatchADequeModel) {
             }
             pushed += mine;
             if (mine <= free) {
-              ASSERT_EQ(q.push_routed(batch, route, 1), mine);
+              ASSERT_EQ(q.push(batch, route, 1), mine);
             } else {
               push_with_consumer(
-                  mine, [&] { return q.push_routed(batch, route, 1); });
+                  mine, [&] { return q.push(batch, route, 1); });
             }
             break;
           }

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
 # Documentation hygiene gate, run as a ctest case (docs.check).
 #
-# Three mechanical checks keep the docs honest:
-#  1. Every public header in src/core, src/proto, src/obs and src/net must
-#     open with a file-level doc comment (a '//' line before any code), so a
-#     reader landing on any header learns its contract before its includes.
+# Five mechanical checks keep the docs honest:
+#  1. Every public header in src/core, src/proto, src/obs, src/net and
+#     src/repl must open with a file-level doc comment (a '//' line before
+#     any code), so a reader landing on any header learns its contract
+#     before its includes.
 #  2. Every metric name constant defined in src/obs/names.h must appear in
 #     docs/RUNBOOK.md -- its metric reference table is required to cover the
 #     full registry namespace, and this is what enforces it.
@@ -14,10 +15,12 @@
 #  4. Every binary v3 opcode enumerator in src/proto/wire_v3.h must have a
 #     table row in docs/WIRE_PROTOCOL.md section 8 -- opcode values are
 #     append-only wire surface with the same lookup obligation.
-#  5. docs/RUNBOOK.md's knob table and the TCP front end's configuration
-#     agree both ways: every field of net::server_config (and, as
-#     `limits.<field>`, of net::session_limits) has a row, and every row
-#     names a field that exists -- a deleted knob cannot leave a stale row.
+#  5. docs/RUNBOOK.md's knob tables and the configuration structs agree
+#     both ways: every field of net::server_config (and, as
+#     `limits.<field>`, of net::session_limits) has a row in the front
+#     end's table, every top-level field of core::sharded_config has a row
+#     in the ingest pipeline's table, and every row names a field that
+#     exists -- a deleted knob cannot leave a stale row.
 #
 # Usage: tools/check_docs.sh [repo-root]   (default: script's parent dir)
 set -eu
@@ -26,8 +29,8 @@ root="${1:-$(dirname "$0")/..}"
 cd "$root"
 fail=0
 
-echo "== file-level doc comments (src/core, src/proto, src/obs, src/net) =="
-for h in src/core/*.h src/proto/*.h src/obs/*.h src/net/*.h; do
+echo "== file-level doc comments (src/core, src/proto, src/obs, src/net, src/repl) =="
+for h in src/core/*.h src/proto/*.h src/obs/*.h src/net/*.h src/repl/*.h; do
   # The first non-blank line must start a comment; '#pragma once' or an
   # #include first means the header has no file-level documentation.
   first="$(sed -n '/[^[:space:]]/{p;q;}' "$h")"
@@ -78,7 +81,7 @@ for o in $ops; do
   fi
 done
 
-echo "== docs/RUNBOOK.md knob table matches net::server_config / session_limits =="
+echo "== docs/RUNBOOK.md knob tables match net::server_config / session_limits / core::sharded_config =="
 # Member names of `struct <name> { ... };` in a header: comments stripped,
 # then the last word before the initializer of every line ending in ';'.
 fields() {
@@ -93,34 +96,43 @@ fields() {
       print w[n]
     }' "$1"
 }
-cfg_fields="$(fields src/net/server.h server_config)"
+# Every backticked name in the first column of the rows of the RUNBOOK
+# table under the heading `$1` (up to the next heading of any level).
+knob_rows() {
+  sed -n "/^### $1/,/^##/p" docs/RUNBOOK.md | grep '^| `' | cut -d'|' -f2 |
+    grep -o '`[^`]*`' | tr -d '`'
+}
+# Two-way check of one table: knob_gate <what> <fields> <rows>.
+knob_gate() {
+  [ -n "$2" ] || { echo "FAIL: no $1 fields found"; fail=1; return; }
+  [ -n "$3" ] || { echo "FAIL: no $1 knob rows found in docs/RUNBOOK.md"; fail=1; return; }
+  for k in $2; do
+    if ! printf '%s\n' "$3" | grep -qxF "$k"; then
+      echo "FAIL: $1 field '$k' has no row in docs/RUNBOOK.md's knob table"
+      fail=1
+    fi
+  done
+  for r in $3; do
+    if ! printf '%s\n' "$2" | grep -qxF "$r"; then
+      echo "FAIL: docs/RUNBOOK.md knob row '$r' names no $1 field"
+      fail=1
+    fi
+  done
+}
 limit_fields="$(fields src/net/session.h session_limits)"
-[ -n "$cfg_fields" ] && [ -n "$limit_fields" ] ||
-  { echo "FAIL: no config fields found in src/net/server.h / session.h"; exit 1; }
-knobs="$(for f in $cfg_fields; do
+net_knobs="$(for f in $(fields src/net/server.h server_config); do
   if [ "$f" = limits ]; then
     for l in $limit_fields; do echo "limits.$l"; done
   else
     echo "$f"
   fi
 done)"
-# Every backticked name in the first column of the knob table's rows.
-rows="$(sed -n '/^### Configuration reference (`net::server_config`)/,/^## /p' \
-  docs/RUNBOOK.md | grep '^| `' | cut -d'|' -f2 | grep -o '`[^`]*`' |
-  tr -d '`')"
-[ -n "$rows" ] || { echo "FAIL: no knob rows found in docs/RUNBOOK.md"; exit 1; }
-for k in $knobs; do
-  if ! printf '%s\n' "$rows" | grep -qxF "$k"; then
-    echo "FAIL: config field '$k' has no row in docs/RUNBOOK.md's knob table"
-    fail=1
-  fi
-done
-for r in $rows; do
-  if ! printf '%s\n' "$knobs" | grep -qxF "$r"; then
-    echo "FAIL: docs/RUNBOOK.md knob row '$r' names no net::server_config / session_limits field"
-    fail=1
-  fi
-done
+[ -n "$limit_fields" ] || { echo "FAIL: no session_limits fields found"; fail=1; }
+knob_gate "net::server_config / session_limits" "$net_knobs" \
+  "$(knob_rows 'Configuration reference (`net::server_config`)')"
+knob_gate "core::sharded_config" \
+  "$(fields src/core/sharded_coordinator.h sharded_config)" \
+  "$(knob_rows 'Ingest pipeline (`core::sharded_config`)')"
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"
